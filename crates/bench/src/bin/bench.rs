@@ -1121,7 +1121,7 @@ fn main() {
     // the sibling binary is absent the fleet falls back to in-process
     // pipe workers sharing a warm [`SpecCache`].
     {
-        use divrel_bench::dist::{Coordinator, JsonLines, SpecCache, Transport, Worker};
+        use divrel_bench::dist::{Coordinator, JsonLines, SpecCache, Worker};
         use divrel_bench::scenario::ScenarioOutcome;
         use divrel_bench::Context;
         use std::net::TcpListener;
@@ -1162,13 +1162,13 @@ fn main() {
                 Some(TcpFleet { listener, children })
             }
 
-            fn accept(&self, n: usize) -> Vec<Box<dyn Transport>> {
-                let mut transports: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
+            fn accept(&self, n: usize) -> Vec<JsonLines> {
+                let mut transports = Vec::with_capacity(n);
                 for _ in 0..n {
                     let (stream, _) = self.listener.accept().expect("worker connects");
                     stream.set_nodelay(true).expect("nodelay");
                     let reader = stream.try_clone().expect("stream clones");
-                    transports.push(Box::new(JsonLines::new(reader, stream)));
+                    transports.push(JsonLines::new(reader, stream));
                 }
                 transports
             }
@@ -1200,12 +1200,12 @@ fn main() {
                 } else {
                     // Fallback fleet: real workers on threads over OS
                     // pipes, warm cache shared across iterations.
-                    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+                    let mut coord_ends = Vec::new();
                     let mut handles = Vec::new();
                     for _ in 0..2 {
                         let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
                         let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-                        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+                        coord_ends.push(JsonLines::new(w2c_r, c2w_w));
                         let worker = Worker::new().threads(2).spec_cache(fallback_cache.clone());
                         handles.push(std::thread::spawn(move || {
                             let mut t = JsonLines::new(c2w_r, w2c_w);
@@ -1305,7 +1305,7 @@ fn main() {
         // --- dist/handshake_reuse: the PR 7 cached-spec handshake ------
         // One worker serving the same committed spec over back-to-back
         // connections: cold (a fresh worker per connection — the full
-        // spec ships and compiles every time, the v2 behaviour) vs warm
+        // spec ships and compiles every time) vs warm
         // (one persistent worker whose compiled-spec cache turns the
         // handshake into a hash exchange). The spec is the F1 campaign
         // with the step count cut down, so the connection cost under
@@ -1329,7 +1329,7 @@ fn main() {
                     let mut t = JsonLines::new(c2w_r, w2c_w);
                     worker.serve(&mut t).map_err(|e| e.to_string())
                 });
-                let ends: Vec<Box<dyn Transport>> = vec![Box::new(JsonLines::new(w2c_r, c2w_w))];
+                let ends = vec![JsonLines::new(w2c_r, c2w_w)];
                 let run = coordinator.run(ends).expect("distributed run");
                 let summary = handle
                     .join()

@@ -20,8 +20,8 @@
 //!
 //! `--coordinator N` executes the spec on a fleet: by default it spawns
 //! `N` local worker processes (this same binary in a hidden
-//! `--worker-stdio` mode) and talks line-delimited JSON over their
-//! stdin/stdout; with `--bind ADDR` it listens on a TCP socket and
+//! `--worker-stdio` mode) and talks the fleet protocol (JSON-line
+//! control frames, binary result frames) over their stdin/stdout; with `--bind ADDR` it listens on a TCP socket and
 //! waits for `N` remote workers started as `scenario_run --worker ADDR`
 //! on any host. Either way the reduced outcome is **bit-identical** to
 //! the in-process run — any worker count, any lease partitioning, any
@@ -50,16 +50,14 @@
 //!
 //! `--worker ... --persist` keeps a TCP worker alive across
 //! coordinators: after each run it reconnects and serves the next one,
-//! keeping its compiled-spec cache warm — a v3 coordinator re-running
-//! the same committed spec then handshakes with just the spec hash and
-//! never re-ships (or re-compiles) the spec. Result frames use the
-//! compact binary framing whenever protocol v3 is negotiated; set
-//! `DIVREL_DIST_FRAMING=json` (or `binary`) on a worker to override.
+//! keeping its compiled-spec cache warm — a coordinator re-running the
+//! same committed spec then handshakes with just the spec hash and
+//! never re-ships (or re-compiles) the spec.
 
 use divrel_bench::context::default_sweep_threads;
 use divrel_bench::dist::{
     default_worker_threads, spawn_stdio_fleet, AdaptiveCoordinator, Coordinator, FaultPlan,
-    JsonLines, StdioFleet, Transport, Worker,
+    JsonLines, StdioFleet, Worker,
 };
 use divrel_bench::scenario::{ExperimentSpec, ScenarioOutcome};
 use divrel_bench::{Context, Scenario};
@@ -391,13 +389,12 @@ fn build_worker(threads: usize, fault: &Option<String>) -> Result<Worker, String
 
 /// Serve one coordinator connection as a worker; the protocol rides the
 /// given transport, diagnostics go to stderr.
-fn serve_connection<T: Transport>(worker: &Worker, mut transport: T) -> Result<(), String> {
+fn serve_connection(worker: &Worker, mut transport: JsonLines) -> Result<(), String> {
     let summary = worker
         .serve(&mut transport)
         .map_err(|e| format!("worker failed: {e}"))?;
     eprintln!(
-        "worker done: protocol v{}, spec {} ({}), {} lease(s), {} cell(s)",
-        summary.protocol,
+        "worker done: spec {} ({}), {} lease(s), {} cell(s)",
         summary.spec_hash,
         if summary.spec_was_cached {
             "cached"
@@ -467,14 +464,14 @@ fn spawn_local_workers(
 }
 
 /// Accept `n` TCP workers on `addr`.
-fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<Box<dyn Transport>>, String> {
+fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<JsonLines>, String> {
     let listener =
         TcpListener::bind(addr).map_err(|e| format!("cannot bind coordinator on {addr}: {e}"))?;
     eprintln!(
         "coordinator listening on {} for {n} worker(s)…",
         listener.local_addr().map_err(|e| e.to_string())?
     );
-    let mut transports: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
+    let mut transports = Vec::with_capacity(n);
     for i in 0..n {
         let (stream, peer) = listener
             .accept()
@@ -484,7 +481,7 @@ fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<Box<dyn Transport>>, S
             .try_clone()
             .map_err(|e| format!("cloning stream of {peer}: {e}"))?;
         eprintln!("worker {i} joined from {peer}");
-        transports.push(Box::new(JsonLines::new(reader, stream)));
+        transports.push(JsonLines::new(reader, stream));
     }
     Ok(transports)
 }

@@ -9,11 +9,11 @@
 //! treats failure as a modeled input, not an exception:
 //!
 //! * A [`Coordinator`] owns a validated [`Scenario`], partitions its
-//!   grid into [`CellRange`] leases, hands them to workers over a
-//!   line-delimited JSON protocol ([`Message`], one frame per line —
-//!   the same frames work over a child process's stdin/stdout or a TCP
-//!   socket), and folds the returned accumulators **in canonical cell
-//!   order**.
+//!   grid into [`CellRange`] leases, hands them to workers over the
+//!   [`protocol`] — JSON-line control frames and binary result frames
+//!   on one [`JsonLines`] transport, which works over a child process's
+//!   stdin/stdout or a TCP socket alike — and folds the returned
+//!   accumulators **in canonical cell order**.
 //! * A [`Worker`] (driven by [`Worker::serve`]) joins a coordinator,
 //!   checks the spec hash, evaluates leased cell ranges through the
 //!   exact same machinery the in-process path uses
@@ -52,12 +52,12 @@
 //! crash/resume point.
 
 pub mod chaos;
-pub mod framing;
 pub mod journal;
+pub mod protocol;
 
 pub use chaos::{Fault, FaultPlan};
-pub use framing::FramingMode;
 pub use journal::{Journal, JournalError, JournalLoad};
+pub use protocol::{JsonLines, Message, PROTOCOL_VERSION};
 
 use crate::adaptive::{drive, AdaptiveOutcome, AllocationStrategy, RoundPlan};
 use crate::scenario::{CampaignRuntime, ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
@@ -71,30 +71,15 @@ use divrel_model::FaultModel;
 use divrel_numerics::sweep::SweepReduce;
 use divrel_numerics::wire::{Wire, WireError, WireForm};
 use divrel_protection::OperationLog;
-use serde::{Deserialize, Serialize};
+use protocol::{FrameReader, FrameWriter};
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Highest protocol revision this build speaks. v2 added
-/// [`Message::Progress`] heartbeats; v3 added the cached-spec handshake
-/// ([`Message::SpecHash`]/[`Message::NeedSpec`]) and binary `Result`
-/// framing ([`framing`]). The two ends negotiate
-/// `min(coordinator, worker)` at the handshake, so a mixed-version
-/// fleet degrades to the v2 full-spec/JSON path per connection instead
-/// of failing.
-pub const PROTOCOL_VERSION: u64 = 3;
-
-/// Oldest protocol revision the coordinator still accepts.
-pub const MIN_PROTOCOL_VERSION: u64 = 2;
-
-/// First revision with the cached-spec handshake and binary framing.
-pub const BINARY_PROTOCOL_VERSION: u64 = 3;
 
 /// Default cells per lease (see [`Coordinator::lease_cells`]): small
 /// enough that a fleet load-balances, large enough that framing is
@@ -120,328 +105,6 @@ pub fn spec_hash(text: &str) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("fnv1a:{h:016x}")
-}
-
-/// One protocol frame. Frames are serialised as single-line JSON
-/// (externally tagged, like every spec type in the workspace) and
-/// exchanged over any ordered byte stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Message {
-    /// Worker → coordinator: first frame after connecting.
-    Join {
-        /// The worker's [`PROTOCOL_VERSION`].
-        protocol: u64,
-    },
-    /// Coordinator → worker: the committed spec, verbatim, plus its
-    /// hash. The worker re-hashes the text and refuses a mismatch.
-    Spec {
-        /// [`spec_hash`] of `text`.
-        hash: String,
-        /// Canonical spec text (TOML).
-        text: String,
-    },
-    /// Coordinator → worker (v3): just the spec fingerprint and the
-    /// negotiated protocol revision. A worker that has already compiled
-    /// this spec answers [`Message::Ready`] straight away; otherwise it
-    /// answers [`Message::NeedSpec`] and the full [`Message::Spec`]
-    /// follows — so a persistent worker parses and compiles each spec
-    /// once per hash, not once per connection.
-    SpecHash {
-        /// [`spec_hash`] of the committed spec.
-        hash: String,
-        /// The protocol revision this connection will speak:
-        /// `min(coordinator, worker)`.
-        protocol: u64,
-    },
-    /// Worker → coordinator (v3): the spec behind `hash` is not cached;
-    /// send the full [`Message::Spec`].
-    NeedSpec {
-        /// Echo of the requested hash.
-        hash: String,
-    },
-    /// Worker → coordinator: spec parsed, validated and hash-checked;
-    /// ready for leases.
-    Ready {
-        /// Echo of the verified hash.
-        hash: String,
-    },
-    /// Coordinator → worker: evaluate cells `[start, end)`.
-    Lease {
-        /// First cell index of the lease.
-        start: u64,
-        /// One past the last cell index.
-        end: u64,
-    },
-    /// Worker → coordinator: heartbeat while a lease runs — `done` of
-    /// the lease's cells are evaluated so far. Resets the lease
-    /// deadline; carries no data.
-    Progress {
-        /// Echo of the lease start.
-        start: u64,
-        /// Echo of the lease end.
-        end: u64,
-        /// Cells of the lease evaluated so far.
-        done: u64,
-    },
-    /// Worker → coordinator: the lease's per-cell accumulators, in
-    /// ascending cell order, wire-encoded.
-    Result {
-        /// Echo of the lease start.
-        start: u64,
-        /// Echo of the lease end.
-        end: u64,
-        /// One wire accumulator per cell of the lease.
-        cells: Vec<Wire>,
-    },
-    /// Coordinator → worker: no more work; disconnect cleanly.
-    Done,
-    /// Either direction: a fatal error (spec mismatch, cell failure).
-    /// Unlike a dropped connection, an abort is **not** retried — it
-    /// means the work itself is broken, not the worker.
-    Abort {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// The sending half of a split [`Transport`].
-pub trait FrameSend: Send {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying stream.
-    fn send(&mut self, msg: &Message) -> std::io::Result<()>;
-
-    /// Sends one frame in the compact binary form where the transport
-    /// supports it, falling back to JSON otherwise (only
-    /// [`Message::Result`] has a binary form). Custom transports get
-    /// the fallback for free.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying stream.
-    fn send_binary(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.send(msg)
-    }
-}
-
-/// The receiving half of a split [`Transport`].
-pub trait FrameRecv: Send {
-    /// Receives the next frame; `None` on a cleanly closed stream.
-    ///
-    /// A `TimedOut`/`WouldBlock` error (from a socket read timeout) is
-    /// **retryable**: implementations must preserve any partially read
-    /// frame across it.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; `InvalidData` for malformed frames.
-    fn recv(&mut self) -> std::io::Result<Option<Message>>;
-}
-
-/// An ordered, framed byte stream a coordinator and a worker talk over.
-pub trait Transport: Send {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying stream.
-    fn send(&mut self, msg: &Message) -> std::io::Result<()>;
-
-    /// Receives the next frame; `None` on a cleanly closed stream.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, including malformed frames.
-    fn recv(&mut self) -> std::io::Result<Option<Message>>;
-
-    /// Sends one frame in the compact binary form where the transport
-    /// supports it, falling back to JSON otherwise. See
-    /// [`FrameSend::send_binary`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying stream.
-    fn send_binary(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.send(msg)
-    }
-
-    /// Splits the transport into independently owned send/receive
-    /// halves, so a reader thread can pump frames while the driver
-    /// writes — the shape the coordinator's deadline machinery needs.
-    fn split(self: Box<Self>) -> (Box<dyn FrameSend>, Box<dyn FrameRecv>);
-}
-
-/// The writing half of [`JsonLines`]: one JSON document per
-/// `\n`-terminated line, flushed per frame.
-pub struct FrameWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write + Send> FrameSend for FrameWriter<W> {
-    fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        let line = serde_json::to_string(msg)
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        self.inner.write_all(line.as_bytes())?;
-        self.inner.write_all(b"\n")?;
-        self.inner.flush()
-    }
-
-    fn send_binary(&mut self, msg: &Message) -> std::io::Result<()> {
-        match msg {
-            Message::Result { start, end, cells } => {
-                let frame = framing::encode_result_frame(*start, *end, cells);
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
-            }
-            other => self.send(other),
-        }
-    }
-}
-
-/// The reading half of [`JsonLines`]. Unlike a plain `BufReader`
-/// `read_line` loop, partially read frames survive a socket read
-/// timeout: bytes accumulate in an internal buffer and a
-/// `TimedOut`/`WouldBlock` error simply surfaces to the caller, who may
-/// retry `recv` without losing framing.
-///
-/// The reader demultiplexes the two frame forms on the first byte of
-/// each frame: [`framing::BINARY_FRAME_MARKER`] (`0x00`, never the
-/// start of a JSON document) opens a length-prefixed binary frame,
-/// anything else a `\n`-terminated JSON line. Accepting both forms
-/// unconditionally means a receiver never has to know what the peer
-/// negotiated — mixed streams parse cleanly.
-pub struct FrameReader<R: Read> {
-    inner: R,
-    pending: Vec<u8>,
-}
-
-impl<R: Read> FrameReader<R> {
-    fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            pending: Vec::new(),
-        }
-    }
-
-    /// One read into the pending buffer. `Ok(false)` means clean EOF.
-    fn fill(&mut self) -> std::io::Result<bool> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.inner.read(&mut chunk) {
-                Ok(0) => return Ok(false),
-                Ok(n) => {
-                    self.pending.extend_from_slice(&chunk[..n]);
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Extracts one complete frame from the head of the pending buffer,
-    /// or `None` if more bytes are needed.
-    fn take_frame(&mut self) -> std::io::Result<Option<Message>> {
-        loop {
-            match self.pending.first() {
-                // Blank-line noise between JSON frames.
-                Some(b'\n') | Some(b'\r') => {
-                    self.pending.remove(0);
-                }
-                Some(&framing::BINARY_FRAME_MARKER) => {
-                    return match framing::try_extract(&self.pending)? {
-                        framing::Extracted::Frame(msg, used) => {
-                            self.pending.drain(..used);
-                            Ok(Some(msg))
-                        }
-                        framing::Extracted::Incomplete => Ok(None),
-                    };
-                }
-                Some(_) => {
-                    let Some(pos) = self.pending.iter().position(|&b| b == b'\n') else {
-                        return Ok(None);
-                    };
-                    let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                    line.pop();
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let line = String::from_utf8(line)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    return serde_json::from_str(&line)
-                        .map(Some)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()));
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
-impl<R: Read + Send> FrameRecv for FrameReader<R> {
-    fn recv(&mut self) -> std::io::Result<Option<Message>> {
-        loop {
-            if let Some(msg) = self.take_frame()? {
-                return Ok(Some(msg));
-            }
-            if !self.fill()? {
-                if self.pending.is_empty() {
-                    return Ok(None);
-                }
-                return Err(std::io::Error::new(
-                    ErrorKind::InvalidData,
-                    "connection closed mid-frame",
-                ));
-            }
-        }
-    }
-}
-
-/// The canonical transport: one JSON document per `\n`-terminated line.
-/// Works over any `(Read, Write)` pair — a child process's
-/// stdout/stdin, a TCP stream cloned for reading, an in-memory pipe in
-/// tests.
-pub struct JsonLines<R: Read, W: Write> {
-    rx: FrameReader<R>,
-    tx: FrameWriter<W>,
-}
-
-impl<R: Read, W: Write> JsonLines<R, W> {
-    /// Wraps a read/write pair.
-    pub fn new(reader: R, writer: W) -> Self {
-        JsonLines {
-            rx: FrameReader::new(reader),
-            tx: FrameWriter { inner: writer },
-        }
-    }
-
-    /// Unwraps the write end (for tests inspecting sent bytes).
-    pub fn into_writer(self) -> W {
-        self.tx.inner
-    }
-}
-
-impl<R: Read + Send + 'static, W: Write + Send + 'static> Transport for JsonLines<R, W> {
-    fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.tx.send(msg)
-    }
-
-    fn recv(&mut self) -> std::io::Result<Option<Message>> {
-        self.rx.recv()
-    }
-
-    fn send_binary(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.tx.send_binary(msg)
-    }
-
-    fn split(self: Box<Self>) -> (Box<dyn FrameSend>, Box<dyn FrameRecv>) {
-        (Box::new(self.tx), Box::new(self.rx))
-    }
 }
 
 /// The per-cell wire envelope: a kind tag (so a shape mismatch fails
@@ -842,9 +505,13 @@ pub struct DistRun {
     pub stats: DistStats,
 }
 
-/// Default pipeline depth: leases a worker may hold at once, so the
-/// next lease is already granted while the current one computes.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
+/// Leases a worker may hold at once, so the next lease is already
+/// granted while the current one computes, hiding the round-trip.
+const PIPELINE_DEPTH: usize = 2;
+
+/// Adaptive lease growth stops at this multiple of the base granularity
+/// ([`Coordinator::lease_cells`]).
+const LEASE_GROWTH_CAP: u64 = 8;
 
 /// Coordinates a fleet of workers over one committed scenario.
 pub struct Coordinator {
@@ -852,8 +519,6 @@ pub struct Coordinator {
     spec_text: String,
     spec_hash: String,
     lease_cells: u64,
-    lease_cap: Option<u64>,
-    pipeline_depth: usize,
     lease_timeout: Duration,
     backoff_base: Duration,
     backoff_cap: Duration,
@@ -883,8 +548,6 @@ impl Coordinator {
             spec_text,
             spec_hash,
             lease_cells: DEFAULT_LEASE_CELLS,
-            lease_cap: None,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             lease_timeout: DEFAULT_LEASE_TIMEOUT,
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(2),
@@ -902,32 +565,14 @@ impl Coordinator {
     ///
     /// Leases grow adaptively from this base: a worker that returns a
     /// lease without missing a deadline has its next grant doubled (up
-    /// to [`Coordinator::adaptive_lease_cap`], default 8× the base,
-    /// assembled by coalescing adjacent queued ranges), and a missed
-    /// deadline shrinks it back to the base. Fast workers therefore pay
-    /// per-lease round-trip overhead logarithmically often while slow
-    /// or flaky workers keep fine-grained, cheap-to-retry leases.
+    /// to 8× the base, assembled by coalescing adjacent queued ranges),
+    /// and a missed deadline shrinks it back to the base. Fast workers
+    /// therefore pay per-lease round-trip overhead logarithmically often
+    /// while slow or flaky workers keep fine-grained, cheap-to-retry
+    /// leases.
     #[must_use]
     pub fn lease_cells(mut self, cells: u64) -> Self {
         self.lease_cells = cells.max(1);
-        self
-    }
-
-    /// Caps adaptive lease growth at `cells` per lease (clamped to at
-    /// least the base granularity at claim time).
-    #[must_use]
-    pub fn adaptive_lease_cap(mut self, cells: u64) -> Self {
-        self.lease_cap = Some(cells.max(1));
-        self
-    }
-
-    /// Sets how many leases a worker may hold at once (minimum 1 —
-    /// which disables pipelining). With the default of
-    /// [`DEFAULT_PIPELINE_DEPTH`], the coordinator grants the next
-    /// lease while the current one computes, hiding the round-trip.
-    #[must_use]
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -1032,7 +677,7 @@ impl Coordinator {
     ///
     /// A worker abort; journal write failures; cell evaluation errors
     /// on the in-process degradation path; reduction/assembly errors.
-    pub fn run(&self, workers: Vec<Box<dyn Transport>>) -> ScenarioResult<DistRun> {
+    pub fn run(&self, workers: Vec<JsonLines>) -> ScenarioResult<DistRun> {
         let cell_count = self.job.cell_count();
         let mut cells: Vec<Option<Wire>> = vec![None; cell_count as usize];
         let mut filled = 0usize;
@@ -1076,8 +721,8 @@ impl Coordinator {
                     // scope exit. It dies with the process or when the
                     // stream closes; the channel going dead tells it to
                     // stop forwarding.
-                    std::thread::spawn(move || pump_frames(rx.as_mut(), &events_tx));
-                    let served = self.drive_worker(tx.as_mut(), &events, board, wakeup);
+                    std::thread::spawn(move || pump_frames(&mut rx, &events_tx));
+                    let served = self.drive_worker(&mut tx, &events, board, wakeup);
                     if let Err(exit) = served {
                         let mut b = board.lock().expect("lease board poisoned");
                         match exit {
@@ -1162,30 +807,33 @@ impl Coordinator {
         Ok(self.halt_after_appends.is_some_and(|n| appends >= n))
     }
 
-    /// Handshake steps 2..: after the worker's `Join`, get it to a
-    /// verified `Ready`. On v3 the coordinator offers just the spec
-    /// hash and ships the full text only on a cache miss
-    /// ([`Message::NeedSpec`]); on v2 the full spec goes up front.
-    fn handshake_ready(
-        &self,
-        protocol: u64,
-        tx: &mut dyn FrameSend,
-        events: &Receiver<RxEvent>,
-    ) -> Result<(), DriveExit> {
-        if protocol >= BINARY_PROTOCOL_VERSION {
-            tx.send(&Message::SpecHash {
-                hash: self.spec_hash.clone(),
-                protocol,
-            })
-            .map_err(|_| DriveExit::Dead(None))?;
-        } else {
-            tx.send(&Message::Spec {
-                hash: self.spec_hash.clone(),
-                text: self.spec_text.clone(),
-            })
-            .map_err(|_| DriveExit::Dead(None))?;
+    /// The handshake: `Join` → `SpecHash` → (`NeedSpec` → `Spec` →)
+    /// `Ready`. The coordinator offers just the spec hash and ships the
+    /// full text only on a cache miss. Each step is bounded by the lease
+    /// deadline.
+    fn handshake(&self, tx: &mut FrameWriter, events: &Receiver<RxEvent>) -> Result<(), DriveExit> {
+        match wait_frame(events, self.lease_timeout) {
+            RxWait::Event(RxEvent::Frame(Message::Join { protocol }))
+                if protocol == PROTOCOL_VERSION => {}
+            RxWait::Event(RxEvent::Frame(Message::Join { protocol })) => {
+                let reason = format!(
+                    "protocol mismatch: coordinator v{PROTOCOL_VERSION}, worker v{protocol}"
+                );
+                let _ = tx.send(&Message::Abort {
+                    reason: reason.clone(),
+                });
+                return Err(DriveExit::Quarantined(reason));
+            }
+            RxWait::Event(RxEvent::Corrupt(e)) => {
+                return Err(DriveExit::Quarantined(format!("corrupt Join frame: {e}")))
+            }
+            _ => return Err(DriveExit::Dead(None)),
         }
-        let mut spec_sent = protocol < BINARY_PROTOCOL_VERSION;
+        tx.send(&Message::SpecHash {
+            hash: self.spec_hash.clone(),
+        })
+        .map_err(|_| DriveExit::Dead(None))?;
+        let mut spec_sent = false;
         loop {
             match wait_frame(events, self.lease_timeout) {
                 RxWait::Event(RxEvent::Frame(Message::Ready { hash }))
@@ -1231,7 +879,6 @@ impl Coordinator {
                         "corrupt handshake frame: {e}"
                     )))
                 }
-                RxWait::Deadline => return Err(DriveExit::Dead(None)),
                 _ => return Err(DriveExit::Dead(None)),
             }
         }
@@ -1239,48 +886,23 @@ impl Coordinator {
 
     fn drive_worker(
         &self,
-        tx: &mut dyn FrameSend,
+        tx: &mut FrameWriter,
         events: &Receiver<RxEvent>,
         board: &Mutex<Board>,
         wakeup: &Condvar,
     ) -> Result<(), DriveExit> {
-        // Handshake: Join → SpecHash/Spec → (NeedSpec → Spec →) Ready.
-        // Each step is bounded by the lease deadline. The connection
-        // speaks min(coordinator, worker): a v2 worker gets the v2
-        // full-spec handshake and JSON-framed results.
-        let protocol = match wait_frame(events, self.lease_timeout) {
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol }))
-                if protocol >= MIN_PROTOCOL_VERSION =>
-            {
-                protocol.min(PROTOCOL_VERSION)
-            }
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol })) => {
-                let reason = format!(
-                    "protocol mismatch: coordinator v{PROTOCOL_VERSION} \
-                     (accepts ≥ v{MIN_PROTOCOL_VERSION}), worker v{protocol}"
-                );
-                let _ = tx.send(&Message::Abort {
-                    reason: reason.clone(),
-                });
-                return Err(DriveExit::Quarantined(reason));
-            }
-            RxWait::Event(RxEvent::Corrupt(e)) => {
-                return Err(DriveExit::Quarantined(format!("corrupt Join frame: {e}")))
-            }
-            RxWait::Deadline => return Err(DriveExit::Dead(None)),
-            _ => return Err(DriveExit::Dead(None)),
-        };
-        self.handshake_ready(protocol, tx, events)?;
+        self.handshake(tx, events)?;
         board.lock().expect("lease board poisoned").handshaken += 1;
 
-        // Pipelined, adaptive lease loop. Up to `pipeline_depth` leases
+        // Pipelined, adaptive lease loop. Up to `PIPELINE_DEPTH` leases
         // stay outstanding per worker so the next range is already
         // granted while the current one computes (the grant rides the
         // wire during compute instead of after it), and the per-worker
         // grant size doubles on every clean completion — up to
-        // `lease_cap_cells()` — then snaps back to the base on a missed
-        // deadline. A worker that keeps pace ends up with a handful of
-        // large leases instead of hundreds of chatty small ones.
+        // `LEASE_GROWTH_CAP`× the base — then snaps back to the base on a
+        // missed deadline. A worker that keeps pace ends up with a
+        // handful of large leases instead of hundreds of chatty small
+        // ones.
         enum Claim {
             /// The run is over (all cells filled, or fatal).
             Drained,
@@ -1290,8 +912,7 @@ impl Coordinator {
             Lease(PendingLease),
         }
         let base = self.lease_cells;
-        let cap = self.lease_cap_cells();
-        let depth = self.pipeline_depth.max(1);
+        let cap = base.saturating_mul(LEASE_GROWTH_CAP);
         let mut grant = base;
         let mut strikes: u32 = 0;
         let mut outstanding: VecDeque<InFlight> = VecDeque::new();
@@ -1300,7 +921,7 @@ impl Coordinator {
             // and the worker is keeping its deadlines. After a strike,
             // granting pauses until a (late) frame clears it — handing
             // more work to a straggler only deepens the hole.
-            'grant: while strikes == 0 && outstanding.len() < depth {
+            'grant: while strikes == 0 && outstanding.len() < PIPELINE_DEPTH {
                 let claim = {
                     let mut b = board.lock().expect("lease board poisoned");
                     loop {
@@ -1534,13 +1155,6 @@ impl Coordinator {
             .map_or(self.backoff_cap, |d| d.min(self.backoff_cap))
     }
 
-    /// Effective adaptive-lease ceiling.
-    fn lease_cap_cells(&self) -> u64 {
-        self.lease_cap
-            .unwrap_or_else(|| self.lease_cells.saturating_mul(8))
-            .max(self.lease_cells)
-    }
-
     /// Admits one lease result: validates its shape and every cell
     /// payload, journals it, then publishes it to the board
     /// (first-write-wins). A malformed result is the *worker's* fault —
@@ -1737,7 +1351,7 @@ impl AdaptiveCoordinator {
     /// [`Coordinator::run`] reports (including the chaos halt).
     pub fn run<F>(&self, mut fleet: F) -> ScenarioResult<AdaptiveDistRun>
     where
-        F: FnMut(u32) -> ScenarioResult<Vec<Box<dyn Transport>>>,
+        F: FnMut(u32) -> ScenarioResult<Vec<JsonLines>>,
     {
         let ExperimentSpec::AdaptivePfd {
             model,
@@ -1855,7 +1469,7 @@ enum RxEvent {
 
 /// Forwards frames from a receive half into a channel until the stream
 /// ends, breaks, or the driver hangs up.
-fn pump_frames(rx: &mut dyn FrameRecv, events: &Sender<RxEvent>) {
+fn pump_frames(rx: &mut FrameReader, events: &Sender<RxEvent>) {
     loop {
         match rx.recv() {
             Ok(Some(msg)) => {
@@ -1962,7 +1576,7 @@ pub fn default_worker_threads() -> usize {
 /// Compiled-spec cache shared across a worker's connections, keyed by
 /// spec hash. A persistent worker that reconnects to coordinators
 /// running the same committed spec compiles the [`DistJob`] once and
-/// answers every later v3 [`Message::SpecHash`] offer from cache —
+/// answers every later [`Message::SpecHash`] offer from cache —
 /// skipping both the spec transfer and the model/grid build.
 ///
 /// Cloning is cheap (the map is behind an `Arc`), so one cache can back
@@ -2016,17 +1630,17 @@ impl SpecCache {
     }
 }
 
+/// How long a worker tolerates a silent coordinator (retryable
+/// transport read timeouts) before giving up.
+const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// Worker-side configuration.
 #[derive(Debug, Clone)]
 pub struct Worker {
     threads: usize,
     plan: FaultPlan,
-    heartbeat_cells: Option<u64>,
     heartbeat_interval: Duration,
-    idle_timeout: Duration,
     cache: SpecCache,
-    max_protocol: u64,
-    framing: FramingMode,
 }
 
 impl Default for Worker {
@@ -2043,16 +1657,14 @@ impl Worker {
         Worker {
             threads: default_worker_threads(),
             plan: FaultPlan::new(),
-            heartbeat_cells: None,
             heartbeat_interval: Duration::from_millis(200),
-            idle_timeout: Duration::from_secs(600),
             cache: SpecCache::new(),
-            max_protocol: PROTOCOL_VERSION,
-            framing: FramingMode::from_env(),
         }
     }
 
-    /// Worker-side threads per lease (execution hint only).
+    /// Worker-side threads per lease (execution hint only). A lease is
+    /// evaluated in chunks of this many cells; [`Message::Progress`]
+    /// heartbeats report the cells done as of the last finished chunk.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -2066,25 +1678,6 @@ impl Worker {
         self
     }
 
-    /// Fault injection shorthand: the worker serves `leases` leases,
-    /// then **drops the connection without replying** to the next one —
-    /// exactly the failure mode the coordinator must survive by
-    /// re-issuing the lease elsewhere.
-    #[must_use]
-    pub fn fail_after_leases(mut self, leases: u64) -> Self {
-        self.plan = self.plan.inject(leases, Fault::Die);
-        self
-    }
-
-    /// Cells evaluated between [`Message::Progress`] heartbeats
-    /// (default: the thread count, so multi-cell leases heartbeat about
-    /// once per parallel batch).
-    #[must_use]
-    pub fn heartbeat_cells(mut self, cells: u64) -> Self {
-        self.heartbeat_cells = Some(cells.max(1));
-        self
-    }
-
     /// Wall-clock heartbeat cadence *within* a chunk (default 200 ms):
     /// even when a single cell computes longer than the coordinator's
     /// lease deadline, [`Message::Progress`] frames keep flowing, so a
@@ -2092,14 +1685,6 @@ impl Worker {
     #[must_use]
     pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
         self.heartbeat_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// How long the worker tolerates a silent coordinator (retryable
-    /// transport read timeouts) before giving up.
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout.max(Duration::from_millis(1));
         self
     }
 
@@ -2112,31 +1697,10 @@ impl Worker {
         self
     }
 
-    /// Caps the protocol version this worker announces in its `Join`
-    /// (clamped to `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`). The
-    /// mixed-fleet knob: a worker capped at v2 forces the full-spec
-    /// handshake and JSON framing on its connection, and the tests use
-    /// it to prove old and new workers produce identical bits side by
-    /// side.
-    #[must_use]
-    pub fn max_protocol(mut self, protocol: u64) -> Self {
-        self.max_protocol = protocol.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        self
-    }
-
-    /// Overrides the `Result` framing policy (default: the
-    /// `DIVREL_DIST_FRAMING` environment override, else
-    /// [`FramingMode::Auto`]).
-    #[must_use]
-    pub fn framing(mut self, mode: FramingMode) -> Self {
-        self.framing = mode;
-        self
-    }
-
     /// Receives a frame, riding out transport read timeouts up to the
     /// worker's idle deadline.
-    fn recv_patient<T: Transport + ?Sized>(&self, t: &mut T) -> std::io::Result<Option<Message>> {
-        let deadline = Instant::now() + self.idle_timeout;
+    fn recv_patient(&self, t: &mut JsonLines) -> std::io::Result<Option<Message>> {
+        let deadline = Instant::now() + WORKER_IDLE_TIMEOUT;
         loop {
             match t.recv() {
                 Err(e)
@@ -2155,28 +1719,22 @@ impl Worker {
     /// Transport errors; a spec whose hash does not match its text; a
     /// cell that fails to evaluate (reported to the coordinator as an
     /// abort); injected faults.
-    pub fn serve<T: Transport + ?Sized>(&self, t: &mut T) -> ScenarioResult<WorkerSummary> {
+    pub fn serve(&self, t: &mut JsonLines) -> ScenarioResult<WorkerSummary> {
         t.send(&Message::Join {
-            protocol: self.max_protocol,
+            protocol: PROTOCOL_VERSION,
         })?;
-        let (hash, job, protocol, cached) = match self.recv_patient(t)? {
-            // v2 coordinator: the full spec arrives up front.
-            Some(Message::Spec { hash, text }) => {
-                let job = self.compile(t, &hash, &text)?;
-                (hash, job, MIN_PROTOCOL_VERSION, false)
-            }
-            // v3 coordinator: just the hash. Compile from cache if we
-            // have served this spec before, else ask for the text.
-            Some(Message::SpecHash { hash, protocol }) => {
-                let protocol = protocol.min(self.max_protocol);
+        // The coordinator offers just the hash. Compile from cache if we
+        // have served this spec before, else ask for the text.
+        let (hash, job, cached) = match self.recv_patient(t)? {
+            Some(Message::SpecHash { hash }) => {
                 if let Some(job) = self.cache.get(&hash) {
-                    (hash, job, protocol, true)
+                    (hash, job, true)
                 } else {
                     t.send(&Message::NeedSpec { hash: hash.clone() })?;
                     match self.recv_patient(t)? {
                         Some(Message::Spec { hash: echoed, text }) if echoed == hash => {
                             let job = self.compile(t, &hash, &text)?;
-                            (hash, job, protocol, false)
+                            (hash, job, false)
                         }
                         Some(Message::Abort { reason }) => {
                             return Err(format!("coordinator aborted: {reason}").into())
@@ -2190,7 +1748,7 @@ impl Worker {
             Some(Message::Abort { reason }) => {
                 return Err(format!("coordinator aborted: {reason}").into())
             }
-            other => return Err(format!("expected Spec or SpecHash frame, got {other:?}").into()),
+            other => return Err(format!("expected SpecHash frame, got {other:?}").into()),
         };
         if self.plan.wrong_hash() {
             // Chaos: echo a wrong hash and wait for the coordinator to
@@ -2216,10 +1774,8 @@ impl Worker {
             }
         }
         t.send(&Message::Ready { hash: hash.clone() })?;
-        let use_binary = self.framing.use_binary(protocol);
         let mut summary = WorkerSummary {
             spec_hash: hash,
-            protocol,
             spec_was_cached: cached,
             leases_served: 0,
             cells_run: 0,
@@ -2271,7 +1827,7 @@ impl Worker {
                         Some(Fault::WrongHash) | None => {}
                     }
                     let range = CellRange::new(start, end);
-                    let chunk = self.heartbeat_cells.unwrap_or(self.threads as u64).max(1);
+                    let chunk = self.threads as u64;
                     // Evaluate on a scoped thread while this thread
                     // pumps Progress heartbeats on a wall-clock cadence:
                     // a single cell that computes longer than the lease
@@ -2348,12 +1904,7 @@ impl Worker {
                     };
                     summary.leases_served += 1;
                     summary.cells_run += cells.len() as u64;
-                    let msg = Message::Result { start, end, cells };
-                    if use_binary {
-                        t.send_binary(&msg)?;
-                    } else {
-                        t.send(&msg)?;
-                    }
+                    t.send(&Message::Result { start, end, cells })?;
                 }
                 Some(Message::Done) | None => return Ok(summary),
                 Some(Message::Abort { reason }) => {
@@ -2366,12 +1917,7 @@ impl Worker {
 
     /// Verifies `text` against its claimed `hash`, compiles it into a
     /// [`DistJob`], and caches the result for future connections.
-    fn compile<T: Transport + ?Sized>(
-        &self,
-        t: &mut T,
-        hash: &str,
-        text: &str,
-    ) -> ScenarioResult<Arc<DistJob>> {
+    fn compile(&self, t: &mut JsonLines, hash: &str, text: &str) -> ScenarioResult<Arc<DistJob>> {
         if spec_hash(text) != hash {
             let reason = format!(
                 "spec hash mismatch: coordinator claims {hash}, text hashes to {}",
@@ -2404,7 +1950,7 @@ pub struct StdioFleet {
     /// The worker processes, in spawn order.
     pub children: Vec<std::process::Child>,
     /// One transport per child, over its stdin/stdout.
-    pub transports: Vec<Box<dyn Transport>>,
+    pub transports: Vec<JsonLines>,
 }
 
 /// Spawns `n` worker processes as `exe --worker-stdio --threads T` and
@@ -2447,9 +1993,7 @@ pub fn spawn_stdio_fleet(
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
-        fleet
-            .transports
-            .push(Box::new(JsonLines::new(stdout, stdin)));
+        fleet.transports.push(JsonLines::new(stdout, stdin));
         fleet.children.push(child);
     }
     Ok(fleet)
@@ -2460,9 +2004,7 @@ pub fn spawn_stdio_fleet(
 pub struct WorkerSummary {
     /// The verified spec fingerprint.
     pub spec_hash: String,
-    /// The negotiated protocol version for this connection.
-    pub protocol: u64,
-    /// Whether the spec came from the worker's [`SpecCache`] (a v3
+    /// Whether the spec came from the worker's [`SpecCache`] (a
     /// hash-only handshake against a previously compiled spec).
     pub spec_was_cached: bool,
     /// Leases evaluated and returned.
@@ -2484,117 +2026,6 @@ mod tests {
         assert_ne!(h, spec_hash("name = \"y\"\n"));
         assert!(h.starts_with("fnv1a:"));
         assert_eq!(h.len(), "fnv1a:".len() + 16);
-    }
-
-    #[test]
-    fn messages_frame_and_round_trip() {
-        let msgs = vec![
-            Message::Join {
-                protocol: PROTOCOL_VERSION,
-            },
-            Message::SpecHash {
-                hash: "fnv1a:00".into(),
-                protocol: BINARY_PROTOCOL_VERSION,
-            },
-            Message::NeedSpec {
-                hash: "fnv1a:00".into(),
-            },
-            Message::Spec {
-                hash: "fnv1a:00".into(),
-                text: "name = \"x\"\n[seed]\nseed = 7\n".into(),
-            },
-            Message::Ready {
-                hash: "fnv1a:00".into(),
-            },
-            Message::Lease { start: 3, end: 9 },
-            Message::Progress {
-                start: 3,
-                end: 9,
-                done: 4,
-            },
-            Message::Result {
-                start: 3,
-                end: 4,
-                cells: vec![encode_cell("mc", Wire::U64(5))],
-            },
-            Message::Done,
-            Message::Abort {
-                reason: "multi\nline\treason".into(),
-            },
-        ];
-        let mut out = JsonLines::new(std::io::empty(), Vec::new());
-        for m in &msgs {
-            Transport::send(&mut out, m).unwrap();
-        }
-        let buf = out.into_writer();
-        // One frame per line, newline-framed even with embedded \n.
-        assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), msgs.len());
-        let mut t = JsonLines::new(std::io::Cursor::new(buf), std::io::sink());
-        for want in &msgs {
-            assert_eq!(&Transport::recv(&mut t).unwrap().unwrap(), want);
-        }
-        assert!(Transport::recv(&mut t).unwrap().is_none());
-    }
-
-    /// A reader that alternates between yielding a few bytes and a
-    /// `WouldBlock` error — the shape of a TCP stream with a read
-    /// timeout.
-    struct ChoppyReader {
-        data: Vec<u8>,
-        at: usize,
-        step: usize,
-        block_next: bool,
-    }
-
-    impl Read for ChoppyReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.block_next {
-                self.block_next = false;
-                return Err(std::io::Error::new(ErrorKind::WouldBlock, "try again"));
-            }
-            self.block_next = true;
-            let n = self.step.min(self.data.len() - self.at).min(buf.len());
-            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
-            self.at += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn frame_reader_preserves_partial_frames_across_read_timeouts() {
-        let msgs = [
-            Message::Lease { start: 0, end: 100 },
-            Message::Progress {
-                start: 0,
-                end: 100,
-                done: 42,
-            },
-        ];
-        let data = {
-            let mut out = JsonLines::new(std::io::empty(), Vec::new());
-            for m in &msgs {
-                Transport::send(&mut out, m).unwrap();
-            }
-            out.into_writer()
-        };
-        let mut rx = FrameReader::new(ChoppyReader {
-            data,
-            at: 0,
-            step: 3,
-            block_next: false,
-        });
-        let mut got = Vec::new();
-        let mut blocks = 0;
-        loop {
-            match rx.recv() {
-                Ok(Some(m)) => got.push(m),
-                Ok(None) => break,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => blocks += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(got, msgs);
-        assert!(blocks > 10, "choppy reader should have blocked repeatedly");
     }
 
     #[test]
@@ -2731,41 +2162,29 @@ mod tests {
             let run = coordinator.run(coord_ends).unwrap();
             let summary = handle.join().unwrap().expect("worker completes");
             assert_eq!(summary.spec_was_cached, want_cached, "connection {round}");
-            assert_eq!(summary.protocol, PROTOCOL_VERSION);
             assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
         }
     }
 
     #[test]
-    fn mixed_version_fleet_negotiates_down_and_stays_bit_identical() {
+    fn a_worker_on_another_protocol_is_refused_at_the_handshake() {
         let ctx = Context::smoke();
         let scenario = presets::mc(&ctx);
         let direct = scenario.run(1).unwrap();
-        let coordinator = Coordinator::new(scenario).unwrap().lease_cells(2);
-        let (mut worker_ends, coord_ends) = duplex_pairs(2);
+        let coordinator = Coordinator::new(scenario).unwrap();
+        let (mut worker_ends, coord_ends) = duplex_pairs(1);
         let handle = std::thread::spawn(move || {
-            // A legacy v2 worker (full-spec handshake, JSON results)
-            // next to a v3 worker forced onto binary framing.
-            let legacy = Worker::new()
-                .threads(1)
-                .max_protocol(MIN_PROTOCOL_VERSION)
-                .serve(&mut worker_ends[0])
-                .map_err(|e| e.to_string());
-            let modern = Worker::new()
-                .threads(1)
-                .framing(FramingMode::Binary)
-                .serve(&mut worker_ends[1])
-                .map_err(|e| e.to_string());
-            (legacy, modern)
+            let t = &mut worker_ends[0];
+            t.send(&Message::Join { protocol: 2 }).unwrap();
+            t.recv().unwrap()
         });
         let run = coordinator.run(coord_ends).unwrap();
-        let (legacy, modern) = handle.join().unwrap();
-        let legacy = legacy.expect("legacy worker completes");
-        let modern = modern.expect("modern worker completes");
-        assert_eq!(legacy.protocol, MIN_PROTOCOL_VERSION);
-        assert!(!legacy.spec_was_cached);
-        assert_eq!(modern.protocol, PROTOCOL_VERSION);
-        assert_eq!(run.stats.quarantined_workers, 0, "stats: {:?}", run.stats);
+        match handle.join().unwrap() {
+            Some(Message::Abort { reason }) => assert!(reason.contains("protocol mismatch")),
+            other => panic!("expected an Abort, got {other:?}"),
+        }
+        assert_eq!(run.stats.workers, 0);
+        assert_eq!(run.stats.quarantined_workers, 1, "stats: {:?}", run.stats);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
     }
 
@@ -2787,18 +2206,16 @@ mod tests {
         assert!(missing_ranges(&[Some(w)], 8).is_empty());
     }
 
-    type PipeTransport = JsonLines<std::io::PipeReader, std::io::PipeWriter>;
-
     /// In-memory duplex transports: `n` worker ends paired with `n`
     /// coordinator ends over `std::io` pipes.
-    fn duplex_pairs(n: usize) -> (Vec<PipeTransport>, Vec<Box<dyn Transport>>) {
+    fn duplex_pairs(n: usize) -> (Vec<JsonLines>, Vec<JsonLines>) {
         let mut workers = Vec::new();
-        let mut coords: Vec<Box<dyn Transport>> = Vec::new();
+        let mut coords = Vec::new();
         for _ in 0..n {
             let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
             let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
             workers.push(JsonLines::new(c2w_r, w2c_w));
-            coords.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+            coords.push(JsonLines::new(w2c_r, c2w_w));
         }
         (workers, coords)
     }

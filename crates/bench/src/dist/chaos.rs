@@ -1,8 +1,7 @@
 //! Chaos injection for the distributed runtime: declarative worker
 //! fault plans and deterministic seeded failure schedules.
 //!
-//! PR 5's `fail_after_leases` could only make a worker vanish. A
-//! [`FaultPlan`] generalises that into the full menagerie the
+//! A [`FaultPlan`] scripts the full menagerie of worker failures the
 //! coordinator must survive:
 //!
 //! | fault | what the worker does | what the coordinator must do |

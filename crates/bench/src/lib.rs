@@ -21,7 +21,8 @@
 //! | F2 | Fig 2 failure regions | [`experiments::failure_regions`] |
 //!
 //! Run everything with `cargo run -p divrel-bench --release --bin
-//! all_experiments`; each experiment also has its own binary.
+//! all_experiments`, or name IDs from [`registry`] to run just those
+//! (`… --bin all_experiments -- E7 F2`).
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -1,10 +1,7 @@
 //! Minimal wall-clock measurement used by the `bench` binary's
-//! before/after comparisons and `BENCH_*.json` export.
-//!
-//! Criterion (the vendored harness) covers `cargo bench`; this module
-//! exists so a plain `cargo run --release -p divrel-bench --bin bench`
-//! can record the perf trajectory to a JSON artifact without the bench
-//! harness.
+//! before/after comparisons and `BENCH_*.json` export, so a plain
+//! `cargo run --release -p divrel-bench --bin bench` can record the perf
+//! trajectory to a JSON artifact.
 
 use std::time::Instant;
 

@@ -77,16 +77,25 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Toml
     Ok(out)
 }
 
+/// Deepest nesting [`parse`] accepts, counting every table-path
+/// segment, array and inline table between the root and a value. Real
+/// scenario files are a handful of levels deep; the cap (the same as
+/// `serde_json::MAX_DEPTH`) keeps hostile input from recursing the
+/// parser's stack away.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses TOML text into a [`Value`] tree (always a `Value::Map` at the
 /// root).
 ///
 /// # Errors
 ///
-/// [`TomlError`] for unsupported or malformed syntax.
+/// [`TomlError`] for unsupported or malformed syntax, or nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, TomlError> {
     Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .parse_document()
 }
@@ -98,6 +107,8 @@ pub fn parse(s: &str) -> Result<Value, TomlError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting level of the value being parsed.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -122,6 +133,8 @@ impl Parser<'_> {
                     self.expect(b']')?;
                 }
                 self.expect_line_end()?;
+                self.depth = 0;
+                self.deeper(path.len())?;
                 if array_of_tables {
                     append_table_array(&mut root, &path, self.pos)?;
                 } else {
@@ -134,6 +147,8 @@ impl Parser<'_> {
                 self.skip_inline_ws();
                 self.expect(b'=')?;
                 self.skip_inline_ws();
+                self.depth = 0;
+                self.deeper(cursor.len() + path.len())?;
                 let value = self.parse_value()?;
                 self.expect_line_end()?;
                 let full: Vec<String> = cursor.iter().chain(path.iter()).cloned().collect();
@@ -145,6 +160,19 @@ impl Parser<'_> {
 
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Descends `levels` nesting levels, failing past [`MAX_DEPTH`].
+    /// Callers climb back out by subtracting the same `levels`.
+    fn deeper(&mut self, levels: usize) -> Result<(), TomlError> {
+        self.depth += levels;
+        if self.depth > MAX_DEPTH {
+            return Err(TomlError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), TomlError> {
@@ -378,11 +406,13 @@ impl Parser<'_> {
 
     fn parse_array(&mut self) -> Result<Value, TomlError> {
         self.expect(b'[')?;
+        self.deeper(1)?;
         let mut items = Vec::new();
         loop {
             self.skip_blank();
             if self.peek() == Some(b']') {
                 self.pos += 1;
+                self.depth -= 1;
                 return Ok(Value::Seq(items));
             }
             items.push(self.parse_value()?);
@@ -391,6 +421,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Seq(items));
                 }
                 _ => return Err(TomlError::new("expected ',' or ']' in array", self.pos)),
@@ -412,7 +443,9 @@ impl Parser<'_> {
             self.skip_inline_ws();
             self.expect(b'=')?;
             self.skip_inline_ws();
+            self.deeper(path.len())?;
             let value = self.parse_value()?;
+            self.depth -= path.len();
             insert(&mut table, &path, value, self.pos)?;
             self.skip_blank();
             match self.peek() {
@@ -804,6 +837,32 @@ count = 5
         assert!(to_string(&Value::Num(3.0)).is_err());
         assert!(to_string(&map(vec![("x", Value::Num(f64::INFINITY))])).is_err());
         assert!(to_string(&map(vec![("xs", Value::Seq(vec![Value::Null]))])).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| format!("a = {}{}\n", "[".repeat(n), "]".repeat(n));
+        let tables = |n: usize| format!("a = {}1{}\n", "{ b = ".repeat(n), " }".repeat(n));
+        let dotted = |n: usize| format!("{} = 1\n", vec!["k"; n].join("."));
+        // `a` itself sits one level below the root.
+        for (doc, at_cap) in [
+            (&arrays as &dyn Fn(usize) -> String, MAX_DEPTH - 1),
+            (&tables, MAX_DEPTH - 1),
+            (&dotted, MAX_DEPTH),
+        ] {
+            assert!(parse(&doc(at_cap)).is_ok(), "{}", doc(at_cap));
+            let err = parse(&doc(at_cap + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+        }
+        // A table header deepens every key under it.
+        let header = format!("[{}]\nx = [[1]]\n", vec!["t"; MAX_DEPTH - 2].join("."));
+        assert!(parse(&header)
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper"));
+        // Far past the cap, unclosed: an error, not a stack overflow.
+        assert!(parse(&format!("a = {}", "[".repeat(200_000))).is_err());
+        assert!(parse(&format!("a = {}", "{ b = [".repeat(100_000))).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use divrel_bench::dist::{
     round_journal_path, AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, Fault,
-    FaultPlan, JsonLines, Transport, Worker,
+    FaultPlan, JsonLines, Worker,
 };
 use divrel_bench::scenario::{Scenario, ScenarioOutcome};
 use divrel_bench::Context;
@@ -80,12 +80,12 @@ fn try_run_fleet(
     coordinator: &Coordinator,
     workers: Vec<Worker>,
 ) -> (Result<DistRun, String>, Vec<Result<u64, String>>) {
-    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+    let mut coord_ends = Vec::new();
     let mut handles = Vec::new();
     for worker in workers {
         let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
         let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+        coord_ends.push(JsonLines::new(w2c_r, c2w_w));
         handles.push(std::thread::spawn(move || {
             let mut transport = JsonLines::new(c2w_r, w2c_w);
             worker
@@ -184,7 +184,7 @@ fn stalled_worker_never_blocks_completion() {
     let hold = Duration::from_secs(8);
     let coordinator = chaos_coordinator(scenario());
     let plan = FaultPlan::new().inject(0, Fault::Stall).stall_hold(hold);
-    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+    let mut coord_ends = Vec::new();
     let mut handles = Vec::new();
     for worker in [
         Worker::new().threads(2).fault_plan(plan),
@@ -192,7 +192,7 @@ fn stalled_worker_never_blocks_completion() {
     ] {
         let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
         let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+        coord_ends.push(JsonLines::new(w2c_r, c2w_w));
         handles.push(std::thread::spawn(move || {
             let mut t = JsonLines::new(c2w_r, w2c_w);
             let _ = worker.serve(&mut t);
@@ -259,11 +259,11 @@ fn try_adaptive_fleet(
     let mut handles = Vec::new();
     let run = coordinator
         .run(|_round| {
-            let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+            let mut coord_ends = Vec::new();
             for _ in 0..workers {
                 let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
                 let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-                coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+                coord_ends.push(JsonLines::new(w2c_r, c2w_w));
                 handles.push(std::thread::spawn(move || {
                     let mut transport = JsonLines::new(c2w_r, w2c_w);
                     let _ = Worker::new().threads(2).serve(&mut transport);

@@ -21,8 +21,8 @@ use divrel::numerics::sweep::SweepReduce;
 use divrel::numerics::wire::{Wire, WireForm};
 use divrel::protection::OperationLog;
 use divrel_bench::dist::{
-    AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, JsonLines, Transport, Worker,
-    WorkerSummary,
+    AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, Fault, FaultPlan, JsonLines,
+    Worker, WorkerSummary,
 };
 use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use divrel_bench::sweep::{ForcedSweepStats, KlSweepStats};
@@ -36,12 +36,12 @@ fn run_fleet(
     coordinator: &Coordinator,
     workers: Vec<Worker>,
 ) -> (DistRun, Vec<Result<WorkerSummary, String>>) {
-    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+    let mut coord_ends = Vec::new();
     let mut handles = Vec::new();
     for worker in workers {
         let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
         let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+        coord_ends.push(JsonLines::new(w2c_r, c2w_w));
         handles.push(std::thread::spawn(move || {
             let mut transport = JsonLines::new(c2w_r, w2c_w);
             worker.serve(&mut transport).map_err(|e| e.to_string())
@@ -101,11 +101,11 @@ fn run_adaptive_fleet(coordinator: &AdaptiveCoordinator, workers: usize) -> Adap
     let mut handles = Vec::new();
     let run = coordinator
         .run(|_round| {
-            let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+            let mut coord_ends = Vec::new();
             for _ in 0..workers {
                 let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
                 let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-                coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+                coord_ends.push(JsonLines::new(w2c_r, c2w_w));
                 handles.push(std::thread::spawn(move || {
                     let mut transport = JsonLines::new(c2w_r, w2c_w);
                     Worker::new()
@@ -207,7 +207,10 @@ fn killed_worker_mid_lease_is_reissued_and_stays_bit_identical() {
     let coordinator = Coordinator::new(scenario).expect("compiles").lease_cells(5);
     let (run, exits) = run_fleet(
         &coordinator,
-        vec![Worker::new().fail_after_leases(1), Worker::new().threads(2)],
+        vec![
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
+            Worker::new().threads(2),
+        ],
     );
     assert_bit_identical(&format!("{name} after worker kill"), &run.outcome, &single);
     assert!(
@@ -244,8 +247,8 @@ fn whole_fleet_loss_degrades_to_in_process_execution() {
     let (run, exits) = run_fleet(
         &coordinator,
         vec![
-            Worker::new().fail_after_leases(1),
-            Worker::new().fail_after_leases(1),
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
         ],
     );
     assert_bit_identical("E16 after whole-fleet loss", &run.outcome, &single);
@@ -265,14 +268,14 @@ fn whole_fleet_loss_degrades_to_in_process_execution() {
 // wire must reconstruct bit-identically, f64 payloads included.
 // ---------------------------------------------------------------------
 
-/// JSON round trip of a wire tree (a v2 connection's `Result` frames).
+/// JSON round trip of a wire tree (the form journal records store).
 fn through_json(w: &Wire) -> Wire {
     let text = serde_json::to_string(w).expect("wire serialises");
     serde_json::from_str(&text).expect("wire parses")
 }
 
-/// Binary round trip of a wire tree (a v3 connection's `Result`
-/// frames): both framings must carry the exact same bits.
+/// Binary round trip of a wire tree (the form `Result` frames carry):
+/// both encodings must carry the exact same bits.
 fn through_binary(w: &Wire) -> Wire {
     Wire::from_bytes(&w.to_bytes()).expect("binary wire decodes")
 }

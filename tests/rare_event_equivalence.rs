@@ -22,7 +22,7 @@ use divrel::devsim::sampler::BiasedBitSampler;
 use divrel::model::shared::SharedCauseModel;
 use divrel::model::FaultModel;
 use divrel::numerics::special::erfc;
-use divrel_bench::dist::{Coordinator, JsonLines, Transport, Worker};
+use divrel_bench::dist::{Coordinator, JsonLines, Worker};
 use divrel_bench::scenario::Scenario;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -200,12 +200,12 @@ fn run_fleet(
     Result<divrel_bench::dist::DistRun, String>,
     Vec<Result<u64, String>>,
 ) {
-    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+    let mut coord_ends = Vec::new();
     let mut handles = Vec::new();
     for worker in workers {
         let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
         let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+        coord_ends.push(JsonLines::new(w2c_r, c2w_w));
         handles.push(std::thread::spawn(move || {
             let mut transport = JsonLines::new(c2w_r, w2c_w);
             worker
