@@ -10,6 +10,7 @@
 use crate::error::DemandError;
 use crate::space::{Demand, GridSpace2D};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A probability distribution over the demands of a [`GridSpace2D`].
 ///
@@ -25,9 +26,10 @@ use rand::Rng;
 pub struct Profile {
     space: GridSpace2D,
     probs: Vec<f64>,
-    // Walker-Vose alias tables, built lazily at construction.
-    alias: Vec<u32>,
-    accept: Vec<f64>,
+    /// Walker–Vose `(alias, accept)` tables, built on the first
+    /// [`Profile::sample`]: callers that only read probabilities (exact
+    /// PFDs, Markov and trajectory plants) never pay for them.
+    alias: OnceLock<(Vec<u32>, Vec<f64>)>,
 }
 
 impl Profile {
@@ -105,12 +107,10 @@ impl Profile {
     }
 
     fn from_normalised(space: GridSpace2D, probs: Vec<f64>) -> Self {
-        let (alias, accept) = build_alias_tables(&probs);
         Profile {
             space,
             probs,
-            alias,
-            accept,
+            alias: OnceLock::new(),
         }
     }
 
@@ -134,13 +134,14 @@ impl Profile {
 
     /// Draws one demand via the alias method (O(1) per draw).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Demand {
+        let (alias, accept) = self.alias.get_or_init(|| build_alias_tables(&self.probs));
         let n = self.probs.len();
         let i = rng.gen_range(0..n);
         let coin: f64 = rng.gen();
-        let idx = if coin < self.accept[i] {
+        let idx = if coin < accept[i] {
             i
         } else {
-            self.alias[i] as usize
+            alias[i] as usize
         };
         self.space
             .demand_at(idx)
@@ -270,6 +271,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             assert_eq!(p.sample(&mut rng), Demand::new(2, 0));
+        }
+    }
+
+    #[test]
+    fn alias_tables_are_built_on_first_sample_only() {
+        let s = GridSpace2D::new(5, 3).unwrap();
+        let weights: Vec<f64> = (0..15).map(|i| (i % 4 + 1) as f64).collect();
+        let p = Profile::from_weights(&s, weights).unwrap();
+        assert!(
+            p.alias.get().is_none(),
+            "construction must not build tables"
+        );
+        let fresh = p.clone();
+        let mut a = StdRng::seed_from_u64(3);
+        let first: Vec<Demand> = (0..500).map(|_| p.sample(&mut a)).collect();
+        assert!(p.alias.get().is_some());
+        assert!(fresh.alias.get().is_none(), "clones build their own tables");
+        // A warm clone and a cold one draw the same stream.
+        let warm = p.clone();
+        let mut b = StdRng::seed_from_u64(3);
+        let mut c = StdRng::seed_from_u64(3);
+        for &want in &first {
+            assert_eq!(fresh.sample(&mut b), want);
+            assert_eq!(warm.sample(&mut c), want);
         }
     }
 

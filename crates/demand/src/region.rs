@@ -110,27 +110,34 @@ impl Region {
     /// members) appear once.
     pub fn cell_indices(&self, space: &GridSpace2D) -> Vec<usize> {
         let mut set = BTreeSet::new();
-        self.collect_indices(space, &mut set);
+        self.for_each_cell(space, &mut |i| {
+            set.insert(i);
+        });
         set.into_iter().collect()
     }
 
-    fn collect_indices(&self, space: &GridSpace2D, out: &mut BTreeSet<usize>) {
+    /// Calls `f` with the linear index of every cell of the region
+    /// clipped to `space`, in no particular order and possibly more than
+    /// once per cell (overlapping union members, repeated points).
+    /// `O(region cells)` with no allocation: the enumeration behind
+    /// [`Self::cell_indices`] and the per-cell failure masks.
+    pub(crate) fn for_each_cell<F: FnMut(usize)>(&self, space: &GridSpace2D, f: &mut F) {
+        let (nx, ny) = (space.nx(), space.ny());
         match self {
             Region::Rect { x0, y0, x1, y1 } => {
-                let x_hi = (*x1).min(space.nx().saturating_sub(1));
-                let y_hi = (*y1).min(space.ny().saturating_sub(1));
+                let x_hi = (*x1).min(nx.saturating_sub(1));
+                let y_hi = (*y1).min(ny.saturating_sub(1));
                 for y in *y0..=y_hi {
+                    let row = y as usize * nx as usize;
                     for x in *x0..=x_hi {
-                        if let Ok(i) = space.index_of(Demand::new(x, y)) {
-                            out.insert(i);
-                        }
+                        f(row + x as usize);
                     }
                 }
             }
             Region::Points(pts) => {
                 for d in pts {
                     if let Ok(i) = space.index_of(*d) {
-                        out.insert(i);
+                        f(i);
                     }
                 }
             }
@@ -144,16 +151,14 @@ impl Region {
                 for i in 0..*count {
                     let x = *x0 as u64 + *dx as u64 * i as u64;
                     let y = *y0 as u64 + *dy as u64 * i as u64;
-                    if x < space.nx() as u64 && y < space.ny() as u64 {
-                        if let Ok(idx) = space.index_of(Demand::new(x as u32, y as u32)) {
-                            out.insert(idx);
-                        }
+                    if x < nx as u64 && y < ny as u64 {
+                        f(y as usize * nx as usize + x as usize);
                     }
                 }
             }
             Region::Union(parts) => {
                 for r in parts {
-                    r.collect_indices(space, out);
+                    r.for_each_cell(space, f);
                 }
             }
         }

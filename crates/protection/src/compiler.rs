@@ -32,11 +32,15 @@
 //!   compiled up front into flat arrays — the densest, fastest layout
 //!   when the whole space fits.
 //! * **Sparse** (spaces up to [`MAX_SPARSE_CELLS`]): states are compiled
-//!   **on first visit** into a hash-indexed table behind a mutex, with
-//!   one reusable [`RowScratch`](crate::plant::RowScratch) so the lazy
-//!   builds allocate nothing per probed row. A slow-mixing chain visits
-//!   a vanishing fraction of a 16M-cell space, so huge plants now ride
-//!   the analytic fast path instead of falling back to the tick loop.
+//!   **on first visit** into a read-mostly page table indexed by cell.
+//!   A state that is already compiled is found with two atomic loads —
+//!   no lock and no shared write — so shards on many threads share one
+//!   table without contending. A first visit builds its row with the
+//!   calling thread's own [`RowScratch`](crate::plant::RowScratch) and
+//!   alias work areas, so a lazy build allocates only the row it keeps
+//!   and never serialises on a global lock. A slow-mixing chain visits a
+//!   vanishing fraction of a 16M-cell space, so huge plants ride the
+//!   analytic fast path instead of falling back to the tick loop.
 //!   [`CompiledPlant::occupancy`] reports the visited fraction.
 //!
 //! Both backends build their tables with the same functions from the
@@ -54,8 +58,9 @@ use crate::error::ProtectionError;
 use crate::plant::{Plant, RowScratch};
 use divrel_demand::space::{Demand, GridSpace2D};
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Largest demand-space cell count the compiler will enumerate
 /// **eagerly**. Each cell stores a handful of floats plus its alias
@@ -65,10 +70,19 @@ use std::sync::{Arc, Mutex};
 pub const MAX_COMPILED_CELLS: usize = 1 << 22;
 
 /// Largest demand-space cell count the **sparse** backend accepts. The
-/// per-state tables are built lazily, so this bounds only the trip-set
-/// bitmap (one bit per cell) and the cell-index width, not compile
-/// time; beyond it plants are not compilable at all.
+/// per-state tables are built lazily, so this bounds only what is
+/// allocated up front — the trip-set bitmap (one bit per cell) and the
+/// page directory (16 bytes per page of 64 cells) — and the
+/// cell-index width, not compile time; beyond it plants are not
+/// compilable at all.
 pub const MAX_SPARSE_CELLS: usize = 1 << 28;
+
+/// Cells per page of the sparse backend's state table. A page is
+/// allocated whole on the first visit to any of its cells, so pages
+/// stay small: a walk's visited set is a blob a few hundred cells wide
+/// on a row thousands of cells long, and every touched page carries its
+/// unvisited slots too.
+const PAGE_CELLS: usize = 64;
 
 /// What the compiled sampler produced for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,59 +161,75 @@ struct EagerTables {
     demands: AliasForest,
 }
 
-/// The sparse backend: states compiled on first visit into a
-/// hash-indexed table. The mutex is taken once per **state change**
-/// (lookups amortise over the geometric dwell, not per tick), and the
-/// scratch buffers live inside it so concurrent shards share one set.
+/// The sparse backend: states compiled on first visit into a two-level
+/// page table indexed by cell. The directory is allocated up front; a
+/// page of [`PAGE_CELLS`] slots on the first visit to any of its cells;
+/// a slot's row on the first visit to that cell. Compiled rows never
+/// move or change, so lookups are lock-free reads. Concurrent first
+/// visits of one state build it once (the other callers wait on that
+/// slot alone), and rows are a pure function of the plant, so the
+/// tables do not depend on which thread got there first.
 struct SparseTables {
     plant: Plant,
     /// Bit per cell: is this cell a demand when entered? Same bitmap
     /// the eager compiler builds, so trip classification is identical.
     trip_bits: Vec<u64>,
-    inner: Mutex<SparseInner>,
+    pages: Box<[OnceLock<Box<Page>>]>,
+    /// Rows built so far: incremented once per slot initialisation.
+    compiled: AtomicUsize,
 }
 
-struct SparseInner {
-    states: HashMap<u32, Arc<StateRow>>,
-    scratch: CompileScratch,
-}
+type Page = [OnceLock<StateRow>; PAGE_CELLS];
 
-/// One lazily-compiled state: parameters plus its two alias rows.
-#[derive(Debug)]
+/// One lazily-compiled state: parameters plus its two alias rows in a
+/// single allocation — the demand row is `entries[..demands]`, the
+/// quiet-move row `entries[demands..]`.
+#[derive(Debug, Clone)]
 struct StateRow {
     params: StateParams,
-    demand_cells: Box<[u32]>,
-    demand_accept: Box<[f64]>,
-    demand_alias: Box<[u32]>,
-    quiet_cells: Box<[u32]>,
-    quiet_accept: Box<[f64]>,
-    quiet_alias: Box<[u32]>,
+    demands: u32,
+    entries: Box<[AliasEntry]>,
+}
+
+impl StateRow {
+    fn demand_row(&self) -> &[AliasEntry] {
+        &self.entries[..self.demands as usize]
+    }
+
+    fn quiet_row(&self) -> &[AliasEntry] {
+        &self.entries[self.demands as usize..]
+    }
+}
+
+thread_local! {
+    /// Each thread's work areas for sparse first-visit builds.
+    static SPARSE_SCRATCH: RefCell<CompileScratch> = RefCell::new(CompileScratch::default());
 }
 
 impl std::fmt::Debug for SparseTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let compiled = self
-            .inner
-            .lock()
-            .expect("sparse compiler lock")
-            .states
-            .len();
         f.debug_struct("SparseTables")
-            .field("compiled_states", &compiled)
+            .field("compiled_states", &self.compiled.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl Clone for SparseTables {
     fn clone(&self) -> Self {
-        let inner = self.inner.lock().expect("sparse compiler lock");
+        let pages = self.pages.clone();
+        // Count what was copied rather than reading the counter, so a
+        // clone taken while other threads build stays exact.
+        let compiled = pages
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|page| page.iter())
+            .filter(|slot| slot.get().is_some())
+            .count();
         SparseTables {
             plant: self.plant.clone(),
             trip_bits: self.trip_bits.clone(),
-            inner: Mutex::new(SparseInner {
-                states: inner.states.clone(),
-                scratch: CompileScratch::default(),
-            }),
+            pages,
+            compiled: AtomicUsize::new(compiled),
         }
     }
 }
@@ -251,16 +281,16 @@ impl CompiledPlant {
         let mut exit_prob = Vec::with_capacity(cells);
         let mut inv_log_hold = Vec::with_capacity(cells);
         let mut demand_given_exit = Vec::with_capacity(cells);
-        let mut quiet_builder = AliasForestBuilder::new(cells);
-        let mut demand_builder = AliasForestBuilder::new(cells);
+        let mut quiet_moves = AliasForest::new(cells);
+        let mut demands = AliasForest::new(cells);
         let mut scratch = CompileScratch::default();
         for cell in 0..cells {
             let params = compile_state(plant, &space, &trip_bits, cell, &mut scratch)?;
             exit_prob.push(params.exit_prob);
             inv_log_hold.push(params.inv_log_hold);
             demand_given_exit.push(params.demand_given_exit);
-            quiet_builder.push_state(&scratch.quiet_row, &mut scratch.work);
-            demand_builder.push_state(&scratch.demand_row, &mut scratch.work);
+            quiet_moves.push_state(&scratch.quiet_row, &mut scratch.work);
+            demands.push_state(&scratch.demand_row, &mut scratch.work);
         }
         let start = space
             .index_of(plant.initial_state())
@@ -272,8 +302,8 @@ impl CompiledPlant {
                 exit_prob,
                 inv_log_hold,
                 demand_given_exit,
-                quiet_moves: quiet_builder.finish(),
-                demands: demand_builder.finish(),
+                quiet_moves,
+                demands,
             }),
         }))
     }
@@ -298,29 +328,34 @@ impl CompiledPlant {
         let start = space
             .index_of(plant.initial_state())
             .expect("initial state in space") as u32;
-        let mut inner = SparseInner {
-            states: HashMap::new(),
-            scratch: CompileScratch::default(),
-        };
         // Compile the initial state now: its row mass check surfaces a
         // plant-implementation bug as a typed error here rather than a
         // panic mid-run, and every run starts there anyway.
-        let first = build_state_row(
-            plant,
-            &space,
-            &trip_bits,
-            start as usize,
-            &mut inner.scratch,
-        )?;
-        inner.states.insert(start, Arc::new(first));
+        let first = SPARSE_SCRATCH.with(|scratch| {
+            build_state_row(
+                plant,
+                &space,
+                &trip_bits,
+                start as usize,
+                &mut scratch.borrow_mut(),
+            )
+        })?;
+        let tables = SparseTables {
+            plant: plant.clone(),
+            trip_bits,
+            pages: (0..cells.div_ceil(PAGE_CELLS))
+                .map(|_| OnceLock::new())
+                .collect(),
+            compiled: AtomicUsize::new(1),
+        };
+        tables
+            .slot(start as usize)
+            .set(first)
+            .expect("a fresh table has no rows");
         Ok(Some(CompiledPlant {
             space,
             start,
-            backend: Backend::Sparse(SparseTables {
-                plant: plant.clone(),
-                trip_bits,
-                inner: Mutex::new(inner),
-            }),
+            backend: Backend::Sparse(tables),
         }))
     }
 
@@ -372,7 +407,7 @@ impl CompiledPlant {
     pub fn compiled_states(&self) -> usize {
         match &self.backend {
             Backend::Eager(t) => t.exit_prob.len(),
-            Backend::Sparse(t) => t.inner.lock().expect("sparse compiler lock").states.len(),
+            Backend::Sparse(t) => t.compiled.load(Ordering::Relaxed),
         }
     }
 
@@ -479,24 +514,33 @@ impl EagerTables {
 }
 
 impl SparseTables {
-    /// The compiled tables of `cell`, building them on first visit. The
-    /// lock is held for the lookup/build only, never across sampling.
-    fn state_row(&self, space: &GridSpace2D, cell: u32) -> Arc<StateRow> {
-        let mut inner = self.inner.lock().expect("sparse compiler lock");
-        if let Some(row) = inner.states.get(&cell) {
-            return Arc::clone(row);
-        }
-        let built = build_state_row(
-            &self.plant,
-            space,
-            &self.trip_bits,
-            cell as usize,
-            &mut inner.scratch,
-        )
-        .unwrap_or_else(|e| panic!("sparse lazy compile of cell {cell}: {e}"));
-        let row = Arc::new(built);
-        inner.states.insert(cell, Arc::clone(&row));
-        row
+    /// The slot of `cell`, allocating its page on first touch.
+    #[inline]
+    fn slot(&self, cell: usize) -> &OnceLock<StateRow> {
+        let page = self.pages[cell / PAGE_CELLS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        &page[cell % PAGE_CELLS]
+    }
+
+    /// The compiled tables of `cell`, building them on first visit with
+    /// this thread's scratch. A compiled state costs two atomic loads.
+    #[inline]
+    fn state_row(&self, space: &GridSpace2D, cell: u32) -> &StateRow {
+        self.slot(cell as usize).get_or_init(|| {
+            let row = SPARSE_SCRATCH
+                .with(|scratch| {
+                    build_state_row(
+                        &self.plant,
+                        space,
+                        &self.trip_bits,
+                        cell as usize,
+                        &mut scratch.borrow_mut(),
+                    )
+                })
+                .unwrap_or_else(|e| panic!("sparse lazy compile of cell {cell}: {e}"));
+            self.compiled.fetch_add(1, Ordering::Relaxed);
+            row
+        })
     }
 
     /// Mirrors [`EagerTables::next_demand`] draw for draw: the lazy
@@ -525,7 +569,7 @@ impl SparseTables {
             let dge = row.params.demand_given_exit;
             if u < dge {
                 let v = branch_uniform(u, 0.0, dge, rng);
-                let cell = alias_pick(&row.demand_cells, &row.demand_accept, &row.demand_alias, v);
+                let cell = alias_pick(row.demand_row(), v);
                 *state = cell;
                 return CompiledEvent::Demand {
                     quiet_gap: quiet,
@@ -536,7 +580,7 @@ impl SparseTables {
             }
             quiet += 1;
             let v = branch_uniform(u, dge, 1.0 - dge, rng);
-            *state = alias_pick(&row.quiet_cells, &row.quiet_accept, &row.quiet_alias, v);
+            *state = alias_pick(row.quiet_row(), v);
             row = self.state_row(space, *state);
         }
         CompiledEvent::Quiet { ticks: budget }
@@ -556,16 +600,18 @@ fn trip_bitmap(plant: &Plant, space: &GridSpace2D) -> Vec<u64> {
     trip_bits
 }
 
-/// Scratch buffers shared by every per-state compilation: the plant's
-/// row buffer, the demand/quiet split, and the Walker–Vose work areas.
-/// One instance serves a whole eager sweep or a sparse backend's
-/// lifetime of lazy builds — no per-state `Vec` churn.
+/// Scratch buffers reused by every per-state compilation: the plant's
+/// row buffer, the demand/quiet split, the Walker–Vose work areas and
+/// the sparse backend's row under construction. One instance serves a
+/// whole eager sweep or one thread's sparse first-visit builds — no
+/// per-state `Vec` churn.
 #[derive(Debug, Default)]
 struct CompileScratch {
     rows: RowScratch,
     quiet_row: Vec<(u32, f64)>,
     demand_row: Vec<(u32, f64)>,
     work: AliasWork,
+    entries: Vec<AliasEntry>,
 }
 
 /// Splits one state's exact transition row into dwell parameters plus
@@ -622,7 +668,7 @@ fn compile_state(
 }
 
 /// Compiles one state end to end for the sparse backend: analysis plus
-/// both alias rows, boxed to their exact lengths.
+/// both alias rows, packed into one exact-length allocation.
 fn build_state_row(
     plant: &Plant,
     space: &GridSpace2D,
@@ -631,19 +677,14 @@ fn build_state_row(
     scratch: &mut CompileScratch,
 ) -> Result<StateRow, ProtectionError> {
     let params = compile_state(plant, space, trip_bits, cell, scratch)?;
-    build_alias_tables(&scratch.demand_row, &mut scratch.work);
-    let demand_cells: Box<[u32]> = scratch.demand_row.iter().map(|&(c, _)| c).collect();
-    let demand_accept: Box<[f64]> = scratch.work.accept.as_slice().into();
-    let demand_alias: Box<[u32]> = scratch.work.alias.as_slice().into();
-    build_alias_tables(&scratch.quiet_row, &mut scratch.work);
+    scratch.entries.clear();
+    push_alias_row(&scratch.demand_row, &mut scratch.work, &mut scratch.entries);
+    let demands = scratch.entries.len() as u32;
+    push_alias_row(&scratch.quiet_row, &mut scratch.work, &mut scratch.entries);
     Ok(StateRow {
         params,
-        demand_cells,
-        demand_accept,
-        demand_alias,
-        quiet_cells: scratch.quiet_row.iter().map(|&(c, _)| c).collect(),
-        quiet_accept: scratch.work.accept.as_slice().into(),
-        quiet_alias: scratch.work.alias.as_slice().into(),
+        demands,
+        entries: scratch.entries.as_slice().into(),
     })
 }
 
@@ -673,6 +714,16 @@ fn branch_uniform<R: Rng + ?Sized>(u: f64, lo: f64, width: f64, rng: &mut R) -> 
     }
 }
 
+/// One bucket of a Walker–Vose alias row: the successor it stands for,
+/// the probability of keeping it, and the bucket (index *within the
+/// row*) taken otherwise.
+#[derive(Debug, Clone, Copy)]
+struct AliasEntry {
+    accept: f64,
+    cell: u32,
+    alias: u32,
+}
+
 /// Draws one successor from an alias row using a **single** uniform
 /// `v ∈ [0, 1)`: `⌊v·n⌋` picks the bucket and the fractional part
 /// `v·n − ⌊v·n⌋` — independent of the bucket and itself uniform — plays
@@ -680,36 +731,49 @@ fn branch_uniform<R: Rng + ?Sized>(u: f64, lo: f64, width: f64, rng: &mut R) -> 
 /// with two. Shared by both backends so the lookup arithmetic cannot
 /// drift between them.
 #[inline]
-fn alias_pick(cells: &[u32], accept: &[f64], alias: &[u32], v: f64) -> u32 {
-    let n = cells.len();
+fn alias_pick(row: &[AliasEntry], v: f64) -> u32 {
+    let n = row.len();
     debug_assert!(n > 0, "alias sample from empty successor set");
     debug_assert!((0.0..1.0).contains(&v), "alias uniform out of range: {v}");
     if n == 1 {
-        return cells[0];
+        return row[0].cell;
     }
     let scaled = v * n as f64;
     let i = (scaled as usize).min(n - 1);
     let coin = scaled - i as f64;
-    let k = if coin < accept[i] {
+    let k = if coin < row[i].accept {
         i
     } else {
-        alias[i] as usize
+        row[i].alias as usize
     };
-    cells[k]
+    row[k].cell
 }
 
-/// Per-state Walker–Vose alias tables over variable-length successor
+/// Per-state Walker–Vose alias rows over variable-length successor
 /// lists, stored flat: state `s` owns entries `offsets[s]..offsets[s+1]`.
 #[derive(Debug, Clone)]
 struct AliasForest {
     offsets: Vec<u32>,
-    cells: Vec<u32>,
-    accept: Vec<f64>,
-    /// Alias index *within the state's segment*.
-    alias: Vec<u32>,
+    entries: Vec<AliasEntry>,
 }
 
 impl AliasForest {
+    /// An empty forest with room for `states` states.
+    fn new(states: usize) -> Self {
+        let mut offsets = Vec::with_capacity(states + 1);
+        offsets.push(0);
+        AliasForest {
+            offsets,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Appends the next state's successor distribution.
+    fn push_state(&mut self, row: &[(u32, f64)], work: &mut AliasWork) {
+        push_alias_row(row, work, &mut self.entries);
+        self.offsets.push(self.entries.len() as u32);
+    }
+
     /// Draws one successor cell for `state`. Must not be called for a
     /// state with an empty segment (the caller's branch probabilities
     /// guarantee this).
@@ -725,53 +789,48 @@ impl AliasForest {
     fn sample_with(&self, state: usize, v: f64) -> u32 {
         let lo = self.offsets[state] as usize;
         let hi = self.offsets[state + 1] as usize;
-        alias_pick(
-            &self.cells[lo..hi],
-            &self.accept[lo..hi],
-            &self.alias[lo..hi],
-            v,
-        )
+        alias_pick(&self.entries[lo..hi], v)
     }
 }
 
-/// Walker–Vose work areas plus the built `accept`/`alias` tables of the
-/// most recent [`build_alias_tables`] call.
+/// Walker–Vose work areas reused across [`push_alias_row`] calls.
 #[derive(Debug, Default)]
 struct AliasWork {
-    accept: Vec<f64>,
-    alias: Vec<u32>,
     scaled: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
 }
 
-/// Builds one state's Walker–Vose acceptance/alias tables over `row`
-/// (`(cell, weight)` pairs, weights positive but not necessarily
-/// normalised) into `work.accept` / `work.alias`. Split entries into
-/// under/over-full relative to the uniform share, pairing each
-/// under-full entry with an over-full alias. One function serves both
-/// backends, so their tables are bit-identical for identical rows.
-fn build_alias_tables(row: &[(u32, f64)], work: &mut AliasWork) {
+/// Appends one state's Walker–Vose alias row over `row` (`(cell,
+/// weight)` pairs, weights positive but not necessarily normalised) to
+/// `out`. Split entries into under/over-full relative to the uniform
+/// share, pairing each under-full entry with an over-full alias. One
+/// function serves both backends, so their tables are bit-identical for
+/// identical rows.
+fn push_alias_row(row: &[(u32, f64)], work: &mut AliasWork, out: &mut Vec<AliasEntry>) {
     let n = row.len();
-    work.accept.clear();
-    work.alias.clear();
     work.scaled.clear();
     work.small.clear();
     work.large.clear();
     if n == 0 {
         return;
     }
+    let base = out.len();
+    out.extend(row.iter().map(|&(cell, _)| AliasEntry {
+        accept: 1.0,
+        cell,
+        alias: 0,
+    }));
+    let built = &mut out[base..];
     let total: f64 = row.iter().map(|&(_, w)| w).sum();
     work.scaled
         .extend(row.iter().map(|&(_, w)| w * n as f64 / total));
-    work.alias.resize(n, 0);
-    work.accept.resize(n, 1.0);
     work.small.extend((0..n).filter(|&i| work.scaled[i] < 1.0));
     work.large.extend((0..n).filter(|&i| work.scaled[i] >= 1.0));
     while let (Some(&s), Some(&l)) = (work.small.last(), work.large.last()) {
         work.small.pop();
-        work.accept[s] = work.scaled[s];
-        work.alias[s] = l as u32;
+        built[s].accept = work.scaled[s];
+        built[s].alias = l as u32;
         work.scaled[l] -= 1.0 - work.scaled[s];
         if work.scaled[l] < 1.0 {
             work.large.pop();
@@ -780,47 +839,7 @@ fn build_alias_tables(row: &[(u32, f64)], work: &mut AliasWork) {
     }
     // Leftovers (numerical residue) accept unconditionally.
     for &i in work.small.iter().chain(work.large.iter()) {
-        work.accept[i] = 1.0;
-    }
-}
-
-struct AliasForestBuilder {
-    offsets: Vec<u32>,
-    cells: Vec<u32>,
-    accept: Vec<f64>,
-    alias: Vec<u32>,
-}
-
-impl AliasForestBuilder {
-    fn new(states: usize) -> Self {
-        let mut offsets = Vec::with_capacity(states + 1);
-        offsets.push(0);
-        AliasForestBuilder {
-            offsets,
-            cells: Vec::new(),
-            accept: Vec::new(),
-            alias: Vec::new(),
-        }
-    }
-
-    /// Appends one state's successor distribution.
-    fn push_state(&mut self, row: &[(u32, f64)], work: &mut AliasWork) {
-        if !row.is_empty() {
-            build_alias_tables(row, work);
-            self.cells.extend(row.iter().map(|&(c, _)| c));
-            self.accept.extend_from_slice(&work.accept);
-            self.alias.extend_from_slice(&work.alias);
-        }
-        self.offsets.push(self.cells.len() as u32);
-    }
-
-    fn finish(self) -> AliasForest {
-        AliasForest {
-            offsets: self.offsets,
-            cells: self.cells,
-            accept: self.accept,
-            alias: self.alias,
-        }
+        built[i].accept = 1.0;
     }
 }
 
@@ -1046,6 +1065,121 @@ mod tests {
         }
     }
 
+    impl SparseTables {
+        /// The cells whose slots hold a compiled row, in cell order.
+        fn compiled_cells(&self) -> Vec<usize> {
+            self.pages
+                .iter()
+                .enumerate()
+                .filter_map(|(p, page)| page.get().map(|page| (p, page)))
+                .flat_map(|(p, page)| {
+                    page.iter()
+                        .enumerate()
+                        .filter(|(_, slot)| slot.get().is_some())
+                        .map(move |(i, _)| p * PAGE_CELLS + i)
+                })
+                .collect()
+        }
+    }
+
+    fn sparse_cells(c: &CompiledPlant) -> Vec<usize> {
+        match &c.backend {
+            Backend::Sparse(t) => t.compiled_cells(),
+            Backend::Eager(_) => panic!("expected the sparse backend"),
+        }
+    }
+
+    #[test]
+    fn shared_sparse_plant_is_bit_identical_at_any_thread_count() {
+        // One sparse plant shared by every thread of a sharded campaign:
+        // all shards start in the same state, so first visits race. The
+        // per-shard logs must not depend on the thread count or on who
+        // built a row, and every visited state is counted once.
+        use crate::simulation::{campaign_compile, run_campaign_shard, shard_layout, shard_seed};
+        use crate::{Adjudicator, Channel, OperationLog, ProtectionSystem};
+        use divrel_demand::mapping::FaultRegionMap;
+        use divrel_demand::version::ProgramVersion;
+
+        // The walk starts at the centre (100, 75), beside the trip set.
+        let space = GridSpace2D::new(200, 150).unwrap();
+        let plant = Plant::markov_walk(space, Region::rect(103, 68, 115, 82), 2, 0.05).unwrap();
+        let map = FaultRegionMap::new(
+            space,
+            vec![
+                Region::rect(103, 68, 108, 82),
+                Region::rect(106, 72, 115, 76),
+            ],
+        )
+        .unwrap();
+        let system = ProtectionSystem::new(
+            vec![
+                Channel::new("A", ProgramVersion::new(vec![true, false])),
+                Channel::new("B", ProgramVersion::new(vec![true, true])),
+            ],
+            Adjudicator::OneOutOfN,
+            map,
+        )
+        .unwrap();
+        let steps = 1_200_000;
+        let layout = shard_layout(steps, 21);
+        assert!(campaign_compile(&plant, steps).unwrap().is_some());
+        let run = |compiled: &CompiledPlant, threads: usize| -> Vec<OperationLog> {
+            // Every thread starts its first shard at the same moment, so
+            // first visits around the initial state race.
+            let start = std::sync::Barrier::new(threads);
+            let mut logs: Vec<(usize, OperationLog)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (layout, system, plant, start) = (&layout, &system, &plant, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            (t..layout.len())
+                                .step_by(threads)
+                                .map(|shard| {
+                                    let log = run_campaign_shard(
+                                        plant,
+                                        Some(compiled),
+                                        system,
+                                        steps,
+                                        layout[shard],
+                                        shard_seed(99, shard),
+                                    )
+                                    .unwrap();
+                                    (shard, log)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("shard thread"))
+                    .collect()
+            });
+            logs.sort_by_key(|&(shard, _)| shard);
+            logs.into_iter().map(|(_, log)| log).collect()
+        };
+        let eager = CompiledPlant::compile_eager(&plant).unwrap().unwrap();
+        let reference = run(&eager, 1);
+        assert!(reference.iter().map(|l| l.demands()).sum::<u64>() > 0);
+        let serial = CompiledPlant::compile_sparse(&plant).unwrap().unwrap();
+        assert_eq!(run(&serial, 1), reference, "serial sparse vs eager");
+        let visited = sparse_cells(&serial);
+        assert_eq!(serial.compiled_states(), visited.len());
+        assert!(visited.len() < serial.states());
+        for threads in [2, 7] {
+            let shared = CompiledPlant::compile_sparse(&plant).unwrap().unwrap();
+            assert_eq!(run(&shared, threads), reference, "{threads} threads");
+            assert_eq!(sparse_cells(&shared), visited, "{threads} threads");
+            assert_eq!(shared.compiled_states(), visited.len(), "{threads} threads");
+            // A warm shared plant clones with its rows and its count.
+            let cloned = shared.clone();
+            assert_eq!(cloned.compiled_states(), visited.len());
+            assert_eq!(run(&cloned, threads), reference);
+            assert_eq!(cloned.compiled_states(), visited.len());
+        }
+    }
+
     #[test]
     fn huge_spaces_compile_sparsely_and_sample() {
         // 2080 × 2080 = 4,326,400 cells: just past MAX_COMPILED_CELLS
@@ -1138,10 +1272,9 @@ mod tests {
     #[test]
     fn alias_forest_reproduces_weights() {
         let mut work = AliasWork::default();
-        let mut b = AliasForestBuilder::new(2);
-        b.push_state(&[(0, 0.1), (1, 0.3), (2, 0.6)], &mut work);
-        b.push_state(&[], &mut work);
-        let f = b.finish();
+        let mut f = AliasForest::new(2);
+        f.push_state(&[(0, 0.1), (1, 0.3), (2, 0.6)], &mut work);
+        f.push_state(&[], &mut work);
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0u32; 3];
         let n = 60_000;
@@ -1162,8 +1295,8 @@ mod tests {
         // approximate.
         let weights = [0.15, 0.05, 0.5, 0.3];
         let mut work = AliasWork::default();
-        let mut b = AliasForestBuilder::new(1);
-        b.push_state(
+        let mut f = AliasForest::new(1);
+        f.push_state(
             &[
                 (0, weights[0]),
                 (1, weights[1]),
@@ -1172,7 +1305,6 @@ mod tests {
             ],
             &mut work,
         );
-        let f = b.finish();
         let grid = 400_000usize;
         let mut counts = [0u64; 4];
         for k in 0..grid {

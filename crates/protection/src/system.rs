@@ -4,8 +4,9 @@
 use crate::adjudicator::Adjudicator;
 use crate::channel::Channel;
 use crate::error::ProtectionError;
+use crate::sensing::SensorView;
 use crate::tree::FaultTree;
-use divrel_demand::fault_set::{words_for, WORD_BITS};
+use divrel_demand::fault_set::{words_for, FaultSet, WORD_BITS};
 use divrel_demand::mapping::FaultRegionMap;
 use divrel_demand::profile::Profile;
 use divrel_demand::space::Demand;
@@ -77,10 +78,10 @@ impl fmt::Display for Voter {
 ///
 /// At construction the system precomputes one **trip table** per
 /// channel — a bit per demand-space cell saying whether that channel
-/// fails there (its sensor view applied, its version AND-ed against the
-/// map's per-cell failure mask) — plus one **system table** holding the
-/// adjudicated outcome per cell. Flat votes and fault trees alike are
-/// thereby compiled down to the same fast path: [`Self::respond`] and
+/// fails there (its version's failure cells, built from the faults'
+/// region cells and mapped through its sensor view) — plus one
+/// **system table** holding the adjudicated outcome per cell. Flat
+/// votes and fault trees alike are thereby compiled down to the same fast path: [`Self::respond`] and
 /// [`Self::true_pfd`] are table lookups per demand, with no per-fault
 /// geometry tests and no per-demand tree walks. The direct tree walk
 /// ([`FaultTree::decide`]) remains the reference semantics and the
@@ -172,31 +173,38 @@ impl ProtectionSystem {
         let space = *map.space();
         let cells = space.cell_count();
         let words_per_table = words_for(cells);
-        let mut fail_tables = vec![0u64; channels.len() * words_per_table];
-        for (ch, c) in channels.iter().enumerate() {
-            let table = &mut fail_tables[ch * words_per_table..(ch + 1) * words_per_table];
-            for cell in 0..cells {
-                let plant_state = space.demand_at(cell).expect("cell index in range");
-                let seen = c.view().apply(plant_state, &space);
-                if map.set_fails_on(c.version().fault_set(), seen) {
-                    table[cell / WORD_BITS] |= 1u64 << (cell % WORD_BITS);
+        let mut fail_tables = Vec::with_capacity(channels.len() * words_per_table);
+        for c in &channels {
+            fail_tables.extend(channel_fail_table(&map, c.version().fault_set(), c.view()));
+        }
+        // Compile the adjudication itself: decide the voter once per
+        // failure pattern now so the per-demand hot paths only test one
+        // bit. This is where a fault tree of any shape collapses onto
+        // the flat-vote fast path. Cells where no channel fails all
+        // share one outcome, so only the union of the channels'
+        // failure cells is walked bit by bit.
+        let n = channels.len();
+        let quiet_word = if voter.decide_fail_mask(0, n) { 0 } else { !0 };
+        let mut system_table = vec![quiet_word; words_per_table];
+        for (w, word) in system_table.iter_mut().enumerate() {
+            let channel_word = |ch: usize| fail_tables[ch * words_per_table + w];
+            let mut any = (0..n).fold(0, |acc, ch| acc | channel_word(ch));
+            while any != 0 {
+                let bit = any.trailing_zeros();
+                any &= any - 1;
+                let fail_mask =
+                    (0..n).fold(0u64, |acc, ch| acc | (channel_word(ch) >> bit & 1) << ch);
+                if voter.decide_fail_mask(fail_mask, n) {
+                    *word &= !(1u64 << bit);
+                } else {
+                    *word |= 1u64 << bit;
                 }
             }
         }
-        // Compile the adjudication itself: walk the voter once per cell
-        // now so the per-demand hot paths only test one bit. This is
-        // where a fault tree of any shape collapses onto the flat-vote
-        // fast path.
-        let n = channels.len();
-        let mut system_table = vec![0u64; words_per_table];
-        for cell in 0..cells {
-            let mut fail_mask = 0u64;
-            for ch in 0..n {
-                let w = fail_tables[ch * words_per_table + cell / WORD_BITS];
-                fail_mask |= (w >> (cell % WORD_BITS) & 1) << ch;
-            }
-            if !voter.decide_fail_mask(fail_mask, n) {
-                system_table[cell / WORD_BITS] |= 1u64 << (cell % WORD_BITS);
+        // Keep the bits past the last cell clear.
+        if let Some(last) = system_table.last_mut() {
+            if !cells.is_multiple_of(WORD_BITS) {
+                *last &= (1u64 << (cells % WORD_BITS)) - 1;
             }
         }
         Ok(ProtectionSystem {
@@ -402,6 +410,42 @@ impl ProtectionSystem {
             },
         ))
     }
+}
+
+/// One channel's trip table: bit `c` set where the channel fails on
+/// plant cell `c`, i.e. where `faults` fail on the cell its sensors
+/// report (`view.apply`). The failures in the channel's own coordinates
+/// come from the faults' region cells ([`FaultRegionMap::failure_bitmap`]);
+/// the view then maps them onto plant cells through two axis lookups.
+/// Every [`SensorView`] moves each reported coordinate as a function of
+/// one plant coordinate, so the reported cell index of plant cell
+/// `(x, y)` splits as `col[x] + row[y]`.
+fn channel_fail_table(map: &FaultRegionMap, faults: &FaultSet, view: SensorView) -> Vec<u64> {
+    let seen = map.failure_bitmap(faults);
+    if view == SensorView::Identity {
+        // Reported and plant cells coincide: skip the per-cell mapping.
+        return seen;
+    }
+    let space = map.space();
+    let reported = |x: u32, y: u32| {
+        space
+            .index_of(view.apply(Demand::new(x, y), space))
+            .expect("sensor views report cells inside the space")
+    };
+    let origin = reported(0, 0);
+    let col: Vec<usize> = (0..space.nx()).map(|x| reported(x, 0)).collect();
+    let mut table = vec![0u64; seen.len()];
+    let mut cell = 0;
+    for y in 0..space.ny() {
+        let row = reported(0, y).wrapping_sub(origin);
+        for &c in &col {
+            let s = c.wrapping_add(row);
+            table[cell / WORD_BITS] |=
+                (seen[s / WORD_BITS] >> (s % WORD_BITS) & 1) << (cell % WORD_BITS);
+            cell += 1;
+        }
+    }
+    table
 }
 
 impl fmt::Display for ProtectionSystem {
@@ -793,6 +837,111 @@ mod tests {
                 let trips = n - fail_mask.count_ones() as usize;
                 let adj = sys.adjudicator().expect("flat system");
                 prop_assert_eq!(adj.decide_counts(trips, n), tripped);
+            }
+
+            /// The trip tables are derived from the faults' region cells
+            /// and two axis lookups per view; they must equal the
+            /// per-cell geometry (sensor view, then the fault masks) on
+            /// every cell, for every view: swapped axes on a non-square
+            /// space, coarsening, offsets that saturate at the borders
+            /// and stuck sensors included.
+            #[test]
+            fn channel_tables_match_per_cell_geometry_for_every_view(
+                nx in 1u32..23,
+                ny in 1u32..23,
+                rects in proptest::collection::vec((0u32..23, 0u32..23, 0u32..6, 0u32..6), 1..4),
+                lattice in (0u32..23, 0u32..23, 0u32..4, 0u32..4, 1u32..8),
+                flags in proptest::collection::vec(proptest::bool::ANY, 5),
+                (fx, fy) in (1u32..6, 1u32..6),
+                (dx, dy) in (-25i32..26, -25i32..26),
+                stuck in (0u32..23, 0u32..23)
+            ) {
+                let space = GridSpace2D::new(nx, ny).expect("valid");
+                let clip = |x: u32, y: u32| (x % nx, y % ny);
+                let mut regions: Vec<Region> = rects
+                    .iter()
+                    .map(|&(x, y, w, h)| {
+                        let (x0, y0) = clip(x, y);
+                        Region::rect(x0, y0, (x0 + w).min(nx - 1), (y0 + h).min(ny - 1))
+                    })
+                    .collect();
+                let (lx, ly) = clip(lattice.0, lattice.1);
+                // As many lattice points as fit inside the space.
+                let fits = |l: u32, d: u32, n: u32| (n - 1 - l).checked_div(d).map_or(u32::MAX, |k| k + 1);
+                let count = lattice.4.min(fits(lx, lattice.2, nx)).min(fits(ly, lattice.3, ny));
+                regions.push(Region::union([
+                    Region::lattice(lx, ly, lattice.2, lattice.3, count),
+                    Region::points([Demand::new(lx, ly), Demand::new(nx - 1, ny - 1)]),
+                ]));
+                let map = FaultRegionMap::new(space, regions).expect("valid");
+                let version = ProgramVersion::new(flags[..map.len()].to_vec());
+                let (sx, sy) = clip(stuck.0, stuck.1);
+                for view in [
+                    SensorView::Identity,
+                    SensorView::SwapAxes,
+                    SensorView::Coarsen { fx, fy },
+                    SensorView::Offset { dx, dy },
+                    SensorView::Stuck { at_var1: sx, at_var2: sy },
+                ] {
+                    let table = channel_fail_table(&map, version.fault_set(), view);
+                    prop_assert_eq!(table.len(), words_for(space.cell_count()));
+                    for (cell, d) in space.demands().enumerate() {
+                        let want = map.set_fails_on(version.fault_set(), view.apply(d, &space));
+                        let got = table[cell / WORD_BITS] >> (cell % WORD_BITS) & 1 == 1;
+                        prop_assert_eq!(got, want, "{} on {}: cell {}", view, space, cell);
+                    }
+                    // No stray bits past the last cell.
+                    let cells = space.cell_count();
+                    if !cells.is_multiple_of(WORD_BITS) {
+                        prop_assert_eq!(table[cells / WORD_BITS] >> (cells % WORD_BITS), 0);
+                    }
+                }
+            }
+
+            /// An assembled system's channel and system tables equal the
+            /// per-cell reference (sensor view, fault masks, then the
+            /// vote) on every cell.
+            #[test]
+            fn system_tables_match_per_cell_reference(
+                regions in proptest::collection::vec(arb_region(), 3),
+                flags in proptest::collection::vec(proptest::bool::ANY, 9),
+                views in proptest::collection::vec((0usize..5, -3i32..4, 1u32..4), 3),
+                k in 1usize..=3
+            ) {
+                let space = GridSpace2D::new(12, 12).expect("valid");
+                let map = FaultRegionMap::new(space, regions).expect("valid");
+                let views: Vec<SensorView> = views
+                    .iter()
+                    .map(|&(kind, shift, factor)| match kind {
+                        0 => SensorView::Identity,
+                        1 => SensorView::SwapAxes,
+                        2 => SensorView::Coarsen { fx: factor, fy: factor + 1 },
+                        3 => SensorView::Offset { dx: shift * 4, dy: -shift },
+                        _ => SensorView::Stuck { at_var1: factor, at_var2: 2 * factor },
+                    })
+                    .collect();
+                let channels: Vec<Channel> = (0..3)
+                    .map(|ch| {
+                        Channel::with_view(
+                            format!("C{ch}"),
+                            ProgramVersion::new(flags[ch * 3..ch * 3 + 3].to_vec()),
+                            views[ch],
+                        )
+                    })
+                    .collect();
+                let adjudicator = Adjudicator::KOutOfN { k };
+                let sys = ProtectionSystem::new(channels.clone(), adjudicator, map.clone())
+                    .expect("valid");
+                for (cell, d) in space.demands().enumerate() {
+                    let trips: Vec<bool> = channels
+                        .iter()
+                        .map(|c| c.trips_on(&map, d).expect("ok"))
+                        .collect();
+                    for (ch, &trip) in trips.iter().enumerate() {
+                        prop_assert_eq!(sys.channel_fails_cell(ch, cell), !trip);
+                    }
+                    prop_assert_eq!(sys.system_fails_cell(cell), !adjudicator.decide(&trips));
+                }
             }
 
             /// The compiled system table must agree with the direct
