@@ -71,11 +71,10 @@ pub fn observe(prior: &PfdPrior, failures: u64, demands: u64) -> Result<PfdPoste
 /// `i`-th cell would get from [`observe`] — bit-identical to calling it
 /// per cell, but the per-atom log terms (`ln wₐ`, `ln θₐ`, `ln(1−θₐ)`)
 /// are computed **once** for the whole batch instead of once per cell.
-/// With the prior itself built once from the fault model (its
-/// distribution construction amortised by the `WeightedBernoulliSum`
-/// terms cache), folding a sweep's per-cell accumulators into posteriors
-/// costs one multiply-add per atom per cell — this is the batched
-/// evaluation pass the adaptive refinement driver runs between rounds.
+/// What remains per atom per cell is the log-likelihood multiply-adds,
+/// one `exp` and one normalising divide. Callers that only need
+/// credible bounds should use [`credible_bounds_batch`], which runs the
+/// same kernel without building the posteriors.
 ///
 /// # Errors
 ///
@@ -109,6 +108,72 @@ pub fn observe_batch(
     }
 }
 
+/// Credible bounds for many independent bodies of evidence:
+/// `evidence[i] = (failuresᵢ, demandsᵢ)` yields
+/// `(observe(prior, fᵢ, dᵢ)?.quantile(lower)?,
+/// observe(prior, fᵢ, dᵢ)?.quantile(upper)?)` bit for bit, errors
+/// included, without building a [`PfdPosterior`]. A discrete prior runs
+/// the same log-weight kernel as [`observe`] into one scratch buffer
+/// reused across cells, then finds both quantiles in a single scan that
+/// stops as soon as the later of the two is reached. This is the
+/// between-rounds pass of the adaptive refinement driver.
+///
+/// # Errors
+///
+/// As [`observe`] then [`PfdPosterior::quantile`], per cell; the first
+/// failing cell aborts the batch.
+///
+/// ```
+/// use divrel_bayes::{prior::PfdPrior, update::{credible_bounds_batch, observe}};
+/// use divrel_model::FaultModel;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let model = FaultModel::uniform(4, 0.2, 0.01)?;
+/// let prior = PfdPrior::exact_single(&model)?;
+/// let bounds = credible_bounds_batch(&prior, &[(0, 5_000), (3, 400)], 0.01, 0.99)?;
+/// let post = observe(&prior, 3, 400)?;
+/// assert_eq!(bounds[1], (post.quantile(0.01)?, post.quantile(0.99)?));
+/// # Ok(())
+/// # }
+/// ```
+pub fn credible_bounds_batch(
+    prior: &PfdPrior,
+    evidence: &[(u64, u64)],
+    lower: f64,
+    upper: f64,
+) -> Result<Vec<(f64, f64)>, BayesError> {
+    match prior {
+        PfdPrior::Discrete(atoms) => {
+            let terms = AtomTerms::precompute(atoms);
+            let mut weights = Vec::with_capacity(atoms.len());
+            evidence
+                .iter()
+                .map(|&(failures, demands)| {
+                    if failures > demands {
+                        return Err(BayesError::BadEvidence { failures, demands });
+                    }
+                    let total = posterior_weights(
+                        atoms,
+                        &terms,
+                        failures,
+                        demands - failures,
+                        &mut weights,
+                    )?;
+                    check_confidence(lower)?;
+                    check_confidence(upper)?;
+                    Ok(discrete_quantiles(&weights, total, lower, upper))
+                })
+                .collect()
+        }
+        PfdPrior::Beta(_) => evidence
+            .iter()
+            .map(|&(failures, demands)| {
+                let post = observe(prior, failures, demands)?;
+                Ok((post.quantile(lower)?, post.quantile(upper)?))
+            })
+            .collect(),
+    }
+}
+
 /// Per-atom log terms of a discrete prior, shared across a batch of
 /// updates. Entries are `NAN` where the term is never used (`ln 0`
 /// guards below make sure of that), mirroring [`observe`]'s conditional
@@ -131,7 +196,26 @@ impl AtomTerms {
     }
 }
 
-/// The exact discrete posterior, computed in log domain.
+/// The exact discrete posterior, computed in log domain: the kernel's
+/// weights, each divided by their total.
+fn discrete_posterior(
+    atoms: &[Atom],
+    terms: &AtomTerms,
+    failures: u64,
+    survivals: u64,
+) -> Result<Vec<Atom>, BayesError> {
+    let mut out = Vec::with_capacity(atoms.len());
+    let total = posterior_weights(atoms, terms, failures, survivals, &mut out)?;
+    for a in &mut out {
+        a.mass /= total;
+    }
+    Ok(out)
+}
+
+/// The one log-weight kernel behind every discrete update. Clears
+/// `out`, fills it with the admitted atoms in prior order, each
+/// carrying its **unnormalised** weight `exp(ll − best)` as `mass`, and
+/// returns their sequential total.
 ///
 /// Atoms the evidence *logically* excludes (`θ = 0` with failures seen,
 /// `θ = 1` with survivals seen, prior mass 0) are annihilated. Atoms the
@@ -144,61 +228,82 @@ impl AtomTerms {
 /// downstream tolerance — and keeps worst-case-atom audits and
 /// support-sensitive consumers honest: finite evidence never *deletes*
 /// a hypothesis.
-fn discrete_posterior(
+fn posterior_weights(
     atoms: &[Atom],
     terms: &AtomTerms,
     failures: u64,
     survivals: u64,
-) -> Result<Vec<Atom>, BayesError> {
-    let mut out = Vec::with_capacity(atoms.len());
-    let mut total = 0.0_f64;
-    // Work with log-likelihood to survive large t.
+    out: &mut Vec<Atom>,
+) -> Result<f64, BayesError> {
+    out.clear();
+    // Work with log-likelihood to survive large t; `mass` holds the
+    // log weight until the second pass.
     let mut best_log = f64::NEG_INFINITY;
-    let logs: Vec<Option<f64>> = atoms
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let theta = a.value;
-            if a.mass == 0.0 {
-                return None;
-            }
-            // 0^0 = 1 conventions:
-            if theta == 0.0 && failures > 0 {
-                return None;
-            }
-            if theta == 1.0 && survivals > 0 {
-                return None;
-            }
-            let mut ll = terms.log_mass[i];
-            if failures > 0 {
-                ll += failures as f64 * terms.log_theta[i];
-            }
-            if survivals > 0 {
-                ll += survivals as f64 * terms.log_surv[i];
-            }
-            best_log = best_log.max(ll);
-            Some(ll)
-        })
-        .collect();
+    for (i, a) in atoms.iter().enumerate() {
+        let theta = a.value;
+        // 0^0 = 1 conventions:
+        if a.mass == 0.0 || (theta == 0.0 && failures > 0) || (theta == 1.0 && survivals > 0) {
+            continue;
+        }
+        let mut ll = terms.log_mass[i];
+        if failures > 0 {
+            ll += failures as f64 * terms.log_theta[i];
+        }
+        if survivals > 0 {
+            ll += survivals as f64 * terms.log_surv[i];
+        }
+        best_log = best_log.max(ll);
+        out.push(Atom {
+            value: theta,
+            mass: ll,
+        });
+    }
     if best_log == f64::NEG_INFINITY {
         return Err(BayesError::DegeneratePosterior(
             "evidence excludes every prior atom",
         ));
     }
-    for (a, ll) in atoms.iter().zip(logs) {
-        if let Some(ll) = ll {
-            let w = (ll - best_log).exp().max(f64::MIN_POSITIVE);
-            out.push(Atom {
-                value: a.value,
-                mass: w,
-            });
-            total += w;
+    let mut total = 0.0_f64;
+    for a in out.iter_mut() {
+        a.mass = (a.mass - best_log).exp().max(f64::MIN_POSITIVE);
+        total += a.mass;
+    }
+    Ok(total)
+}
+
+/// `BayesError::InvalidConfig` unless `0 < confidence < 1`.
+fn check_confidence(confidence: f64) -> Result<(), BayesError> {
+    if confidence > 0.0 && confidence < 1.0 {
+        Ok(())
+    } else {
+        Err(BayesError::InvalidConfig(format!(
+            "confidence {confidence} not in (0, 1)"
+        )))
+    }
+}
+
+/// The `lower` and `upper` quantiles of the atoms whose masses are
+/// `mass / total`, in one scan: each is the first atom whose running
+/// mass reaches its level (within `1e-15`), else the last atom. A
+/// normalised posterior scans with `total = 1`, which divides exactly.
+fn discrete_quantiles(atoms: &[Atom], total: f64, lower: f64, upper: f64) -> (f64, f64) {
+    let (mut lo, mut hi) = (None, None);
+    let mut acc = 0.0;
+    for a in atoms {
+        acc += a.mass / total;
+        let reached = acc + 1e-15;
+        if lo.is_none() && reached >= lower {
+            lo = Some(a.value);
+        }
+        if hi.is_none() && reached >= upper {
+            hi = Some(a.value);
+        }
+        if lo.is_some() && hi.is_some() {
+            break;
         }
     }
-    for a in &mut out {
-        a.mass /= total;
-    }
-    Ok(out)
+    let last = atoms.last().map_or(0.0, |a| a.value);
+    (lo.unwrap_or(last), hi.unwrap_or(last))
 }
 
 impl PfdPosterior {
@@ -242,21 +347,10 @@ impl PfdPosterior {
     /// [`BayesError::InvalidConfig`] unless `0 < confidence < 1`;
     /// numerics errors from the Beta quantile.
     pub fn quantile(&self, confidence: f64) -> Result<f64, BayesError> {
-        if !(confidence > 0.0 && confidence < 1.0) {
-            return Err(BayesError::InvalidConfig(format!(
-                "confidence {confidence} not in (0, 1)"
-            )));
-        }
+        check_confidence(confidence)?;
         match self {
             PfdPosterior::Discrete(atoms) => {
-                let mut acc = 0.0;
-                for a in atoms {
-                    acc += a.mass;
-                    if acc + 1e-15 >= confidence {
-                        return Ok(a.value);
-                    }
-                }
-                Ok(atoms.last().map(|a| a.value).unwrap_or(0.0))
+                Ok(discrete_quantiles(atoms, 1.0, confidence, confidence).0)
             }
             PfdPosterior::Beta(b) => Ok(b.quantile(confidence)?),
         }
@@ -483,6 +577,174 @@ mod tests {
         let beta = PfdPrior::Beta(Beta::new(1.0, 99.0).unwrap());
         let out = observe_batch(&beta, &[(2, 100)]).unwrap();
         assert!(matches!(out[0], PfdPosterior::Beta(_)));
+    }
+
+    /// A posterior quantile as a plain scan of the normalised atoms,
+    /// written independently of [`discrete_quantiles`].
+    fn reference_quantile(post: &PfdPosterior, confidence: f64) -> Result<f64, BayesError> {
+        let PfdPosterior::Discrete(atoms) = post else {
+            return post.quantile(confidence);
+        };
+        if !(confidence > 0.0 && confidence < 1.0) {
+            return Err(BayesError::InvalidConfig(format!(
+                "confidence {confidence} not in (0, 1)"
+            )));
+        }
+        let mut acc = 0.0;
+        for a in atoms {
+            acc += a.mass;
+            if acc + 1e-15 >= confidence {
+                return Ok(a.value);
+            }
+        }
+        Ok(atoms.last().map(|a| a.value).unwrap_or(0.0))
+    }
+
+    /// What [`credible_bounds_batch`] must reproduce for one cell; also
+    /// checks [`PfdPosterior::quantile`] against the plain scan.
+    fn reference_bounds(
+        prior: &PfdPrior,
+        failures: u64,
+        demands: u64,
+        lower: f64,
+        upper: f64,
+    ) -> Result<(f64, f64), BayesError> {
+        let post = observe(prior, failures, demands)?;
+        for level in [lower, upper] {
+            let bits = |r: Result<f64, BayesError>| r.map(f64::to_bits);
+            assert_eq!(
+                bits(post.quantile(level)),
+                bits(reference_quantile(&post, level))
+            );
+        }
+        Ok((
+            reference_quantile(&post, lower)?,
+            reference_quantile(&post, upper)?,
+        ))
+    }
+
+    /// Asserts the batch equals the per-cell reference bit for bit: each
+    /// cell alone, and the whole batch (first error wins).
+    fn assert_bounds_match(prior: &PfdPrior, evidence: &[(u64, u64)], lower: f64, upper: f64) {
+        let bits = |r: Result<(f64, f64), BayesError>| r.map(|(l, u)| (l.to_bits(), u.to_bits()));
+        let mut expected = Vec::new();
+        for &(s, t) in evidence {
+            let want = reference_bounds(prior, s, t, lower, upper);
+            let got = credible_bounds_batch(prior, &[(s, t)], lower, upper).map(|v| v[0]);
+            assert_eq!(bits(got), bits(want.clone()), "s={s} t={t}");
+            expected.push(want);
+        }
+        let want: Result<Vec<(f64, f64)>, BayesError> = expected.into_iter().collect();
+        let got = credible_bounds_batch(prior, evidence, lower, upper);
+        let to_bits = |r: Result<Vec<(f64, f64)>, BayesError>| {
+            r.map(|v| {
+                v.iter()
+                    .map(|(l, u)| (l.to_bits(), u.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(to_bits(got), to_bits(want));
+    }
+
+    #[test]
+    fn credible_bounds_match_observe_and_its_errors() {
+        let prior = PfdPrior::exact_single(&model()).unwrap();
+        let evidence = [
+            (0u64, 0u64),
+            (0, 1_000),
+            (2, 500),
+            (10, 10),
+            (0, 10_000_000),
+        ];
+        assert_bounds_match(&prior, &evidence, 0.01, 0.99);
+        assert_bounds_match(&prior, &evidence, 0.99, 0.01);
+        assert_bounds_match(&prior, &evidence, 0.5, 0.5);
+        // Bad evidence, then a bad level, in the order observe and
+        // quantile report them.
+        assert!(matches!(
+            credible_bounds_batch(&prior, &[(0, 10), (5, 3)], 0.0, 0.99),
+            Err(BayesError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            credible_bounds_batch(&prior, &[(5, 3)], 0.0, 0.99),
+            Err(BayesError::BadEvidence { .. })
+        ));
+        assert_bounds_match(&prior, &[(5, 3)], 0.01, 0.99);
+        assert_bounds_match(&prior, &[(0, 1)], 0.01, 1.0);
+        // A prior certain of perfection cannot explain a failure.
+        let perfect = PfdPrior::from_atoms(vec![Atom {
+            value: 0.0,
+            mass: 1.0,
+        }])
+        .unwrap();
+        assert!(matches!(
+            credible_bounds_batch(&perfect, &[(1, 10)], 0.01, 0.99),
+            Err(BayesError::DegeneratePosterior(_))
+        ));
+        assert_bounds_match(&perfect, &[(0, 10), (1, 10)], 0.01, 0.99);
+        // No cells, no levels checked: as mapping observe over nothing.
+        assert_eq!(credible_bounds_batch(&prior, &[], 2.0, 0.5), Ok(vec![]));
+        let beta = PfdPrior::Beta(Beta::new(1.0, 99.0).unwrap());
+        assert_bounds_match(&beta, &[(2, 100), (0, 0), (7, 3)], 0.05, 0.95);
+    }
+
+    /// A discrete prior of 1–200 atoms that mixes θ = 0, θ = 1, tiny
+    /// and ordinary θ, and zero-mass atoms, normalised for `from_atoms`.
+    fn discrete_prior() -> impl Strategy<Value = PfdPrior> {
+        let value = prop_oneof![Just(0.0f64), Just(1.0f64), 1e-9..1e-3f64, 0.0..=1.0f64];
+        let mass = prop_oneof![Just(0.0f64), 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64];
+        proptest::collection::vec((value, mass), 1..=200).prop_map(|raw| {
+            let mut atoms: Vec<Atom> = raw
+                .into_iter()
+                .map(|(value, mass)| Atom { value, mass })
+                .collect();
+            let total: f64 = atoms.iter().map(|a| a.mass).sum();
+            if total > 0.0 {
+                for a in &mut atoms {
+                    a.mass /= total;
+                }
+            } else {
+                atoms[0].mass = 1.0;
+            }
+            PfdPrior::from_atoms(atoms).unwrap()
+        })
+    }
+
+    /// Cell evidence: none, all failures, mixed and impossible, with
+    /// demands up to 10⁹.
+    fn cell_evidence() -> impl Strategy<Value = (u64, u64)> {
+        prop_oneof![
+            Just((0u64, 0u64)),
+            (0u64..=1_000_000_000).prop_map(|t| (t, t)),
+            (0u64..=1_000_000_000).prop_map(|t| (0, t)),
+            (0u64..=1_000_000_000, 0u64..=1_000).prop_map(|(t, s)| (s.min(t), t)),
+            (0u64..=1_000_000_000, 0.0..1.0f64).prop_map(|(t, f)| ((t as f64 * f) as u64, t)),
+            (0u64..1_000, 1u64..100).prop_map(|(t, extra)| (t + extra, t)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn credible_bounds_equal_observe_quantiles_bitwise(
+            prior in discrete_prior(),
+            evidence in proptest::collection::vec(cell_evidence(), 1..6),
+            lower in 0.001..0.999f64,
+            upper in 0.001..0.999f64,
+        ) {
+            assert_bounds_match(&prior, &evidence, lower, upper);
+        }
+
+        #[test]
+        fn beta_credible_bounds_equal_observe_quantiles_bitwise(
+            a in 0.1..50.0f64,
+            b in 0.1..500.0f64,
+            evidence in proptest::collection::vec(cell_evidence(), 1..4),
+            lower in 0.001..0.5f64,
+            upper in 0.5..0.999f64,
+        ) {
+            let prior = PfdPrior::Beta(Beta::new(a, b).unwrap());
+            assert_bounds_match(&prior, &evidence, lower, upper);
+        }
     }
 
     #[test]

@@ -3,14 +3,23 @@
 //!
 //! A fixed sweep decides its per-cell budget before seeing a single
 //! demand. The adaptive driver instead runs a *round loop*: an initial
-//! uniform round seeds every cell's posterior (exact discrete Bayes,
-//! via [`divrel_bayes::update::observe_batch`] on the fault model's
-//! [`PfdPrior::exact_single`]), then each refinement round leases its
-//! whole budget to the cells whose credible intervals are still wider
-//! than the target, proportionally to their widths
-//! ([`divrel_devsim::adaptive::refine_allocation`]). The loop stops when
-//! every cell's `confidence`-level credible width is at or below
-//! `target_width`, or after `max_rounds` rounds.
+//! uniform round gives every cell a credible width (exact discrete
+//! Bayes on the fault model's [`PfdPrior::exact_single`]), then each
+//! refinement round leases its whole budget to the cells whose credible
+//! intervals are still wider than the target, proportionally to their
+//! widths ([`divrel_devsim::adaptive::refine_allocation`]). The loop
+//! stops when every cell's `confidence`-level credible width is at or
+//! below `target_width`, or after `max_rounds` rounds.
+//!
+//! Between rounds the loop needs widths, not posteriors. It gets them
+//! from [`divrel_bayes::update::credible_bounds_batch`], which runs the
+//! exact update's log-weight kernel and both quantiles in one pass per
+//! cell without building a posterior, and it recomputes them only for
+//! the cells the round refined: a cell that got no demands kept its
+//! evidence, so it keeps its width. The posteriors behind the per-cell
+//! report ([`divrel_bayes::update::observe_batch`]) are built once,
+//! after the last round. Widths are bit-identical to rebuilding every
+//! posterior every round.
 //!
 //! Two properties make the loop distributable:
 //!
@@ -30,8 +39,8 @@
 //! to a worker fleet.
 
 use crate::scenario::ScenarioResult;
-use divrel_bayes::update::observe_batch;
-use divrel_bayes::{PfdPosterior, PfdPrior};
+use divrel_bayes::update::{credible_bounds_batch, observe_batch};
+use divrel_bayes::PfdPrior;
 use divrel_devsim::adaptive::{
     refine_allocation, uniform_allocation, AdaptivePfdRuntime, CellEvidence,
 };
@@ -201,14 +210,24 @@ pub enum AllocationStrategy {
 
 /// Runs the round loop with a caller-supplied round executor:
 /// `exec(runtime, round, allocations)` must return per-cell evidence
-/// for exactly that round (cell order, one entry per cell). The
-/// posterior side — exact Bayes updates, widths, the stopping rule,
-/// the next allocation — lives here, identically for every executor.
+/// for exactly that round (cell order, one entry per cell, each cell's
+/// `demands` equal to its allocation). The posterior side — exact
+/// Bayes updates, widths, the stopping rule, the next allocation —
+/// lives here, identically for every executor.
+///
+/// Round 0 computes every cell's credible width; a later round
+/// recomputes only the cells it allocated demands to, since no other
+/// cell's evidence changed. Widths come from
+/// [`credible_bounds_batch`], which never builds a posterior; the
+/// posteriors behind the [`CellReport`]s are built once, after the
+/// last round.
 ///
 /// # Errors
 ///
 /// Model/prior construction errors, executor errors, evidence of the
-/// wrong length, posterior quantile errors.
+/// wrong length, evidence that contradicts the round's allocation or
+/// itself (`failures > demands`) or overflows the running totals —
+/// each naming its round and cell — and posterior quantile errors.
 pub fn drive<F>(
     model: Arc<FaultModel>,
     sweep_seed: u64,
@@ -223,31 +242,25 @@ where
     refinement.validate()?;
     let prior = PfdPrior::exact_single(&model)?;
     let runtime = AdaptivePfdRuntime::new(model, sweep_seed, cells)?;
+    let (lower, upper) = (1.0 - refinement.confidence, refinement.confidence);
     let mut cumulative = vec![CellEvidence::default(); cells];
     let mut rounds: Vec<RoundRecord> = Vec::new();
     let mut allocations = uniform_allocation(refinement.initial_demands, cells);
     let mut converged = false;
-    let mut final_posteriors: Vec<PfdPosterior> = Vec::new();
     let mut widths = vec![f64::INFINITY; cells];
     for round in 0..refinement.max_rounds {
         let evidence = exec(&runtime, round, &allocations)?;
-        if evidence.len() != cells {
-            return Err(format!(
-                "adaptive round {round} returned {} evidence entries, want {cells}",
-                evidence.len()
-            )
-            .into());
-        }
-        for (acc, ev) in cumulative.iter_mut().zip(&evidence) {
-            use divrel_numerics::sweep::SweepReduce;
-            acc.absorb(*ev);
-        }
-        let flat: Vec<(u64, u64)> = cumulative.iter().map(|e| (e.failures, e.demands)).collect();
-        let posteriors = observe_batch(&prior, &flat)?;
-        for (w, p) in widths.iter_mut().zip(&posteriors) {
-            let upper = p.quantile(refinement.confidence)?;
-            let lower = p.quantile(1.0 - refinement.confidence)?;
-            *w = upper - lower;
+        absorb_round(&mut cumulative, &evidence, &allocations, round)?;
+        let refined: Vec<usize> = (0..cells)
+            .filter(|&c| round == 0 || allocations[c] > 0)
+            .collect();
+        let flat: Vec<(u64, u64)> = refined
+            .iter()
+            .map(|&c| (cumulative[c].failures, cumulative[c].demands))
+            .collect();
+        let bounds = credible_bounds_batch(&prior, &flat, lower, upper)?;
+        for (&c, (lo, hi)) in refined.iter().zip(bounds) {
+            widths[c] = hi - lo;
         }
         let max_width = widths.iter().fold(0.0f64, |m, &w| m.max(w));
         rounds.push(RoundRecord {
@@ -256,7 +269,6 @@ where
             demands: allocations.iter().sum(),
             max_width,
         });
-        final_posteriors = posteriors;
         if max_width <= refinement.target_width {
             converged = true;
             break;
@@ -268,21 +280,23 @@ where
             AllocationStrategy::Uniform => uniform_allocation(refinement.round_demands, cells),
         };
     }
+    let flat: Vec<(u64, u64)> = cumulative.iter().map(|e| (e.failures, e.demands)).collect();
+    let posteriors = observe_batch(&prior, &flat)?;
     let cell_reports = cumulative
         .iter()
-        .zip(&final_posteriors)
+        .zip(&posteriors)
         .enumerate()
         .map(|(c, (ev, p))| {
-            let upper = p.quantile(refinement.confidence)?;
-            let lower = p.quantile(1.0 - refinement.confidence)?;
+            let hi = p.quantile(upper)?;
+            let lo = p.quantile(lower)?;
             Ok(CellReport {
                 true_pfd: runtime.true_pfd(c),
                 failures: ev.failures,
                 demands: ev.demands,
                 posterior_mean: p.mean(),
-                lower,
-                upper,
-                width: upper - lower,
+                lower: lo,
+                upper: hi,
+                width: hi - lo,
             })
         })
         .collect::<ScenarioResult<Vec<_>>>()?;
@@ -294,6 +308,61 @@ where
         confidence: refinement.confidence,
         target_width: refinement.target_width,
     })
+}
+
+/// Folds one round's evidence into the running per-cell totals, after
+/// checking it against the round: one entry per cell, no cell with more
+/// failures than demands or with demands other than its allocation,
+/// and no total past `u64::MAX`. Executors, fleet workers and replayed
+/// journals all hand evidence in, so none of it is trusted; the
+/// allocation check is also what lets [`drive`] keep the widths of
+/// cells that got no demands.
+fn absorb_round(
+    cumulative: &mut [CellEvidence],
+    evidence: &[CellEvidence],
+    allocations: &[u64],
+    round: u32,
+) -> ScenarioResult<()> {
+    if evidence.len() != cumulative.len() {
+        return Err(format!(
+            "adaptive round {round} returned {} evidence entries, want {}",
+            evidence.len(),
+            cumulative.len()
+        )
+        .into());
+    }
+    for (c, ((acc, ev), &allocated)) in cumulative
+        .iter_mut()
+        .zip(evidence)
+        .zip(allocations)
+        .enumerate()
+    {
+        if ev.failures > ev.demands {
+            return Err(format!(
+                "adaptive round {round} cell {c}: {} failures in {} demands",
+                ev.failures, ev.demands
+            )
+            .into());
+        }
+        if ev.demands != allocated {
+            return Err(format!(
+                "adaptive round {round} cell {c}: {} demands, {allocated} allocated",
+                ev.demands
+            )
+            .into());
+        }
+        let (Some(failures), Some(demands)) = (
+            acc.failures.checked_add(ev.failures),
+            acc.demands.checked_add(ev.demands),
+        ) else {
+            return Err(format!(
+                "adaptive round {round} cell {c}: cumulative evidence overflows u64"
+            )
+            .into());
+        };
+        *acc = CellEvidence { failures, demands };
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -470,6 +539,268 @@ mod tests {
         )
         .expect("second drive");
         assert_eq!(a, b);
+    }
+
+    /// Reference round loop: `observe_batch` plus both quantiles on
+    /// every cell, every round. [`drive`] must reproduce it exactly.
+    fn reference_drive(
+        model: Arc<FaultModel>,
+        sweep_seed: u64,
+        cells: usize,
+        refinement: &RefinementSpec,
+        strategy: AllocationStrategy,
+    ) -> ScenarioResult<AdaptiveOutcome> {
+        use divrel_bayes::PfdPosterior;
+        use divrel_numerics::sweep::SweepReduce;
+        let prior = PfdPrior::exact_single(&model)?;
+        let runtime = AdaptivePfdRuntime::new(model, sweep_seed, cells)?;
+        let mut cumulative = vec![CellEvidence::default(); cells];
+        let mut rounds: Vec<RoundRecord> = Vec::new();
+        let mut allocations = uniform_allocation(refinement.initial_demands, cells);
+        let mut converged = false;
+        let mut final_posteriors: Vec<PfdPosterior> = Vec::new();
+        let mut widths = vec![f64::INFINITY; cells];
+        for round in 0..refinement.max_rounds {
+            let evidence = in_process_exec(&runtime, round, &allocations)?;
+            for (acc, ev) in cumulative.iter_mut().zip(&evidence) {
+                acc.absorb(*ev);
+            }
+            let flat: Vec<(u64, u64)> =
+                cumulative.iter().map(|e| (e.failures, e.demands)).collect();
+            let posteriors = observe_batch(&prior, &flat)?;
+            for (w, p) in widths.iter_mut().zip(&posteriors) {
+                let upper = p.quantile(refinement.confidence)?;
+                let lower = p.quantile(1.0 - refinement.confidence)?;
+                *w = upper - lower;
+            }
+            let max_width = widths.iter().fold(0.0f64, |m, &w| m.max(w));
+            rounds.push(RoundRecord {
+                round,
+                allocations: allocations.clone(),
+                demands: allocations.iter().sum(),
+                max_width,
+            });
+            final_posteriors = posteriors;
+            if max_width <= refinement.target_width {
+                converged = true;
+                break;
+            }
+            allocations = match strategy {
+                AllocationStrategy::PosteriorDriven => {
+                    refine_allocation(&widths, refinement.target_width, refinement.round_demands)
+                }
+                AllocationStrategy::Uniform => uniform_allocation(refinement.round_demands, cells),
+            };
+        }
+        let cell_reports = cumulative
+            .iter()
+            .zip(&final_posteriors)
+            .enumerate()
+            .map(|(c, (ev, p))| {
+                let upper = p.quantile(refinement.confidence)?;
+                let lower = p.quantile(1.0 - refinement.confidence)?;
+                Ok(CellReport {
+                    true_pfd: runtime.true_pfd(c),
+                    failures: ev.failures,
+                    demands: ev.demands,
+                    posterior_mean: p.mean(),
+                    lower,
+                    upper,
+                    width: upper - lower,
+                })
+            })
+            .collect::<ScenarioResult<Vec<_>>>()?;
+        Ok(AdaptiveOutcome {
+            total_demands: rounds.iter().map(|r| r.demands).sum(),
+            cells: cell_reports,
+            rounds,
+            converged,
+            confidence: refinement.confidence,
+            target_width: refinement.target_width,
+        })
+    }
+
+    #[test]
+    fn incremental_widths_reproduce_the_full_recompute() {
+        let sparse_start = RefinementSpec {
+            initial_demands: 5,
+            round_demands: 3_000,
+            ..spec()
+        };
+        let capped = RefinementSpec {
+            target_width: 1e-6,
+            max_rounds: 4,
+            ..spec()
+        };
+        let models = [
+            FaultModel::uniform(2, 0.25, 0.004).expect("valid model"),
+            FaultModel::from_params(&[0.3, 0.18, 0.1], &[0.004, 0.03, 0.001]).expect("valid model"),
+        ];
+        let mut skipped_cells = 0;
+        for model in models {
+            for refinement in [spec(), sparse_start, capped] {
+                for strategy in [
+                    AllocationStrategy::PosteriorDriven,
+                    AllocationStrategy::Uniform,
+                ] {
+                    let model = Arc::new(model.clone());
+                    let got = drive(model.clone(), 7, 16, &refinement, strategy, in_process_exec)
+                        .expect("drive");
+                    let want = reference_drive(model, 7, 16, &refinement, strategy)
+                        .expect("reference drive");
+                    let case = format!("{refinement:?} {strategy:?}");
+                    assert_eq!(got, want, "{case}");
+                    for (g, w) in got.rounds.iter().zip(&want.rounds) {
+                        assert_eq!(
+                            g.max_width.to_bits(),
+                            w.max_width.to_bits(),
+                            "{case} round {}",
+                            g.round
+                        );
+                    }
+                    for (g, w) in got.cells.iter().zip(&want.cells) {
+                        for (x, y) in [
+                            (g.posterior_mean, w.posterior_mean),
+                            (g.lower, w.lower),
+                            (g.upper, w.upper),
+                            (g.width, w.width),
+                        ] {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{case}");
+                        }
+                    }
+                    skipped_cells += got
+                        .rounds
+                        .iter()
+                        .map(|r| r.allocations.iter().filter(|&&a| a == 0).count())
+                        .sum::<usize>();
+                }
+            }
+        }
+        // The sparse start leaves cells unfunded in round 0, and
+        // refinement leaves converged cells unfunded later: the cases
+        // above exercise the skipped-cell path.
+        assert!(skipped_cells > 0);
+        let start = drive(
+            Arc::new(FaultModel::uniform(2, 0.25, 0.004).expect("valid model")),
+            7,
+            16,
+            &sparse_start,
+            AllocationStrategy::PosteriorDriven,
+            in_process_exec,
+        )
+        .expect("drive");
+        assert!(start.rounds[0].allocations.contains(&0));
+    }
+
+    #[test]
+    fn tampered_round_evidence_is_an_error_naming_round_and_cell() {
+        let model = FaultModel::uniform(2, 0.25, 0.004).expect("valid model");
+        // Each tampering rewrites one funded cell's round-1 evidence from
+        // its allocation.
+        type Tamper = fn(u64) -> CellEvidence;
+        let tamperings: [(Tamper, &str); 4] = [
+            (
+                |a| CellEvidence {
+                    failures: a + 1,
+                    demands: a,
+                },
+                "failures in",
+            ),
+            (
+                |a| CellEvidence {
+                    failures: 0,
+                    demands: a + 1,
+                },
+                "allocated",
+            ),
+            (
+                |a| CellEvidence {
+                    failures: 0,
+                    demands: a.saturating_sub(1),
+                },
+                "allocated",
+            ),
+            (
+                |_| CellEvidence {
+                    failures: u64::MAX,
+                    demands: u64::MAX,
+                },
+                "allocated",
+            ),
+        ];
+        for (tamper, what) in tamperings {
+            let err = drive(
+                Arc::new(model.clone()),
+                41,
+                16,
+                &spec(),
+                AllocationStrategy::PosteriorDriven,
+                |rt, round, allocations| {
+                    let mut evidence = in_process_exec(rt, round, allocations)?;
+                    if round == 1 {
+                        let c = allocations
+                            .iter()
+                            .position(|&a| a > 0)
+                            .expect("funded cell");
+                        evidence[c] = tamper(allocations[c]);
+                    }
+                    Ok(evidence)
+                },
+            )
+            .expect_err("tampered evidence must be rejected")
+            .to_string();
+            assert!(err.contains("round 1 cell "), "{err}");
+            assert!(err.contains(what), "{err} should mention {what}");
+        }
+        let err = drive(
+            Arc::new(model),
+            41,
+            16,
+            &spec(),
+            AllocationStrategy::PosteriorDriven,
+            |rt, round, allocations| {
+                let mut evidence = in_process_exec(rt, round, allocations)?;
+                evidence.pop();
+                Ok(evidence)
+            },
+        )
+        .expect_err("short evidence must be rejected")
+        .to_string();
+        assert!(
+            err.contains("round 0 returned 15 evidence entries"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn running_totals_refuse_to_overflow() {
+        let mut cumulative = vec![
+            CellEvidence::default(),
+            CellEvidence {
+                failures: 1,
+                demands: u64::MAX - 1,
+            },
+        ];
+        let evidence = [
+            CellEvidence {
+                failures: 0,
+                demands: 2,
+            },
+            CellEvidence {
+                failures: 0,
+                demands: 2,
+            },
+        ];
+        let err = absorb_round(&mut cumulative, &evidence, &[2, 2], 9)
+            .expect_err("u64 overflow must be rejected")
+            .to_string();
+        assert_eq!(
+            err,
+            "adaptive round 9 cell 1: cumulative evidence overflows u64"
+        );
+        let mut fresh = vec![CellEvidence::default(); 2];
+        absorb_round(&mut fresh, &evidence, &[2, 2], 0).expect("valid evidence folds");
+        assert_eq!(fresh, evidence);
     }
 
     #[test]
