@@ -30,7 +30,6 @@ pub mod adaptive;
 pub mod context;
 pub mod dist;
 pub mod experiments;
-pub mod perf;
 pub mod scenario;
 pub mod sweep;
 pub mod toml;

@@ -24,26 +24,38 @@
 use serde::Value;
 use std::fmt;
 
-/// A TOML parse or render error: a message plus the byte offset where
-/// parsing stopped (0 for render errors).
+/// A TOML parse, shape or render error: a message plus, for syntax
+/// errors, the byte offset where parsing stopped. Shape mismatches (a
+/// well-formed document of the wrong type) and render errors have no
+/// position in the text, so they carry none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TomlError {
     msg: String,
-    at: usize,
+    at: Option<usize>,
 }
 
 impl TomlError {
     fn new(msg: impl Into<String>, at: usize) -> Self {
         TomlError {
             msg: msg.into(),
-            at,
+            at: Some(at),
+        }
+    }
+
+    fn unplaced(msg: impl Into<String>) -> Self {
+        TomlError {
+            msg: msg.into(),
+            at: None,
         }
     }
 }
 
 impl fmt::Display for TomlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TOML error at byte {}: {}", self.at, self.msg)
+        match self.at {
+            Some(at) => write!(f, "TOML error at byte {at}: {}", self.msg),
+            None => write!(f, "TOML error: {}", self.msg),
+        }
     }
 }
 
@@ -57,7 +69,7 @@ impl std::error::Error for TomlError {}
 /// [`serde::DeError`] (wrapped) for a shape mismatch.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, TomlError> {
     let v = parse(s)?;
-    T::from_value(&v).map_err(|e| TomlError::new(e.0, 0))
+    T::from_value(&v).map_err(|e| TomlError::unplaced(e.0))
 }
 
 /// Serialises a value as a TOML document (the value must serialise to a
@@ -70,7 +82,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, TomlError> {
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, TomlError> {
     let v = value.to_value();
     let Value::Map(entries) = &v else {
-        return Err(TomlError::new("TOML document root must be a table", 0));
+        return Err(TomlError::unplaced("TOML document root must be a table"));
     };
     let mut out = String::new();
     render_table(&mut out, &[], entries)?;
@@ -618,11 +630,11 @@ fn render_string(s: &str) -> String {
 /// after `key =`).
 fn render_inline(out: &mut String, v: &Value) -> Result<(), TomlError> {
     match v {
-        Value::Null => return Err(TomlError::new("TOML cannot represent null here", 0)),
+        Value::Null => return Err(TomlError::unplaced("TOML cannot represent null here")),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Num(n) => {
             if !n.is_finite() {
-                return Err(TomlError::new(format!("non-finite number {n}"), 0));
+                return Err(TomlError::unplaced(format!("non-finite number {n}")));
             }
             // `{:?}` is the shortest round-trip form and always keeps
             // float syntax (a dot or an exponent), so an integral float

@@ -1,12 +1,11 @@
 //! Scoped-thread partial sums over demand-space cells.
 //!
-//! Both parallel PFD paths ([`crate::mapping::FaultRegionMap::union_pfd_set_parallel`]
-//! and `divrel_protection`'s `ProtectionSystem::true_pfd_parallel`) are
-//! the same shape: split the cells into contiguous ranges, sum a
-//! per-cell quantity on `std::thread::scope` threads, and combine the
-//! partial sums **in range order** so the result is deterministic for a
-//! fixed thread count. This module keeps that skeleton — and the
-//! profitability threshold — in one place.
+//! The skeleton of `divrel_protection`'s
+//! `ProtectionSystem::true_pfd_parallel`: split the cells into
+//! contiguous ranges, sum a per-cell quantity on `std::thread::scope`
+//! threads, and combine the partial sums **in range order** so the
+//! result is deterministic for a fixed thread count. The profitability
+//! threshold lives here with it.
 
 /// Smallest cell count worth spawning threads for: below this, the
 /// per-thread spawn/join overhead exceeds the scan itself.

@@ -164,7 +164,7 @@ impl AdaptivePfdRuntime {
 /// `⌊budget/cells⌋`, the first `budget mod cells` cells one more. The
 /// round-0 allocation (no posterior exists yet), and the per-round
 /// allocation of the fixed-budget baseline the adaptive driver is
-/// benchmarked against.
+/// measured against.
 #[must_use]
 pub fn uniform_allocation(budget: u64, cells: usize) -> Vec<u64> {
     if cells == 0 {

@@ -12,8 +12,7 @@
 //! faults are one AND + popcount. The distribution is exactly that of
 //! the reference one-draw-per-fault sampler
 //! ([`FaultIntroduction::sample_version`]), which is kept available via
-//! [`VersionFactory::sample_pair_reference`] for equivalence tests and
-//! before/after benchmarks.
+//! [`VersionFactory::sample_pair_reference`] for equivalence tests.
 
 use crate::process::FaultIntroduction;
 use crate::sampler::BitSampler;
@@ -190,8 +189,7 @@ impl VersionFactory {
 
     /// Samples a pair with the reference one-draw-per-fault sampler —
     /// the exact seed-stream semantics of the original `Vec<bool>`
-    /// implementation, kept for equivalence tests and before/after
-    /// benchmarking of the fast path.
+    /// implementation, kept for the fast path's equivalence tests.
     pub fn sample_pair_reference<R: Rng + ?Sized>(&self, rng: &mut R) -> SampledPair {
         let pa = self.introduction.sample_version(&self.model, rng);
         let pb = self.introduction.sample_version(&self.model, rng);

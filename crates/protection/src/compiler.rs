@@ -46,8 +46,8 @@
 //! Both backends build their tables with the same functions from the
 //! same exact rows and consume identically many RNG draws, so for any
 //! plant the eager compiler accepts, sparse and eager runs are
-//! **bit-identical** (held to account by this module's tests and the
-//! `markov_sparse` bench row's pre-measure assertion).
+//! **bit-identical** (held to account by this module's tests and
+//! proptests).
 //!
 //! Plants whose law cannot be enumerated (the rate plant, or spaces
 //! beyond [`MAX_SPARSE_CELLS`]) are simply not compilable —
@@ -413,8 +413,9 @@ impl CompiledPlant {
 
     /// Fraction of the state space with built tables
     /// (`compiled_states / states`): 1.0 for the eager backend, the
-    /// visited fraction for the sparse one — the occupancy figure the
-    /// `markov_sparse` bench row records.
+    /// visited fraction for the sparse one — the occupancy figure
+    /// perfbench's traced `campaign` workload reports as
+    /// `protection.occupancy`.
     pub fn occupancy(&self) -> f64 {
         self.compiled_states() as f64 / self.states() as f64
     }

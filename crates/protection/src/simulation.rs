@@ -21,12 +21,13 @@
 //! in `record_quiet_n(gap)` jumps between state changes instead of one
 //! RNG draw per tick. Plants the compiler cannot enumerate degrade
 //! gracefully to the exact tick-by-tick loop ([`run_stepwise`], also
-//! kept public as the reference path for before/after benchmarks and
-//! the statistical-equivalence test suite).
+//! kept public as the reference path of the statistical-equivalence
+//! and draw-count tests).
 //!
-//! Long campaigns shard across threads with [`run_sharded`]:
-//! deterministic per-shard seeds, one [`OperationLog`] merge at the end,
-//! results reproducible for a fixed seed and shard layout.
+//! Long campaigns split into shards ([`run_campaign_shard`], folded in
+//! order by [`run_sharded`]): deterministic per-shard seeds, one
+//! [`OperationLog`] merge at the end, results reproducible for a fixed
+//! seed and shard layout.
 
 use crate::compiler::{CompiledEvent, CompiledPlant};
 use crate::error::ProtectionError;
@@ -85,7 +86,7 @@ fn compile_worthwhile(plant: &Plant, steps: u64) -> bool {
 
 /// Runs a pre-compiled plant for `steps` ticks via analytic demand-gap
 /// jumps. Compile once with [`CompiledPlant::compile`] and reuse across
-/// runs (and across threads — see [`run_sharded`]).
+/// runs (and across shards — see [`run_campaign_shard`]).
 ///
 /// # Errors
 ///
@@ -126,9 +127,10 @@ pub fn shard_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(index as u64 + 1))
 }
 
-/// Runs a long operational campaign sharded across `threads` OS threads
-/// with `std::thread::scope`, merging the per-shard [`OperationLog`]s in
-/// shard order.
+/// Runs a long operational campaign as `threads` shards, folding the
+/// per-shard [`OperationLog`]s in shard order. `threads` is the shard
+/// count; the shards run one after another on the calling thread, each
+/// exactly as [`run_campaign_shard`] runs it.
 ///
 /// Each shard runs an independent replica of the plant (its own RNG
 /// stream via [`shard_seed`], its own initial state), so the merged log
@@ -145,7 +147,7 @@ pub fn shard_seed(seed: u64, index: usize) -> u64 {
 /// # Errors
 ///
 /// [`ProtectionError::InvalidConfig`] for `threads == 0`; otherwise
-/// propagated response errors from any shard.
+/// the first response error in shard order.
 pub fn run_sharded(
     plant: &Plant,
     system: &ProtectionSystem,
@@ -163,27 +165,16 @@ pub fn run_sharded(
     // worthwhileness probe as `run` applies (against the whole campaign
     // length — the compile happens once, not per shard).
     let compiled = campaign_compile(plant, steps)?;
-    let shards = shard_layout(steps, threads);
-    let mut results: Vec<Result<OperationLog, ProtectionError>> = Vec::with_capacity(shards.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards.len());
-        for (i, &count) in shards.iter().enumerate() {
-            let compiled = compiled.as_ref();
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(shard_seed(seed, i));
-                match compiled {
-                    Some(c) => run_compiled(c, system, count, &mut rng),
-                    None => run(plant, system, count, &mut rng),
-                }
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("campaign shard panicked"));
-        }
-    });
     let mut merged = OperationLog::new(system.channels().len());
-    for r in results {
-        merged.merge(&r?);
+    for (i, &count) in shard_layout(steps, threads).iter().enumerate() {
+        merged.merge(&run_campaign_shard(
+            plant,
+            compiled.as_ref(),
+            system,
+            steps,
+            count,
+            shard_seed(seed, i),
+        )?);
     }
     Ok(merged)
 }
@@ -267,8 +258,8 @@ pub fn run_campaign_shard(
 }
 
 /// The reference tick-by-tick loop (every plant step draws the RNG).
-/// [`run`] uses it for trajectory plants; benchmarks use it as the
-/// "before" of the demand-gap fast path.
+/// [`run`] uses it for trajectory plants; the equivalence and draw-count
+/// tests hold the demand-gap fast path to it.
 ///
 /// # Errors
 ///

@@ -15,7 +15,7 @@
 
 use divrel_bench::dist::{
     round_journal_path, AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, Fault,
-    FaultPlan, JsonLines, Worker,
+    FaultPlan, Journal, JsonLines, Worker,
 };
 use divrel_bench::scenario::{Scenario, ScenarioOutcome};
 use divrel_bench::Context;
@@ -246,6 +246,48 @@ fn forced_coordinator_kill_and_resume_are_bit_identical() {
         "three 5-cell leases were journaled before the halt (stats: {:?})",
         run.stats
     );
+    assert!(exits.iter().all(Result::is_ok), "exits: {exits:?}");
+    std::fs::remove_file(&path).expect("journal cleans up");
+}
+
+#[test]
+fn journaled_run_appends_once_per_lease_and_folds_like_the_plain_run() {
+    // The journal's whole cost on a healthy fleet is one append per
+    // completed lease. The default lease deadline keeps a slow build
+    // from re-issuing leases, so every issued lease completes once.
+    let coordinator = || {
+        Coordinator::new(scenario())
+            .expect("compiles")
+            .lease_cells(5)
+    };
+    let workers = || vec![Worker::new().threads(2), Worker::new().threads(2)];
+    let (plain, _) = run_fleet(&coordinator(), workers());
+    let path = temp_journal("appends");
+    let journaled = coordinator().journal(&path).expect("journal creates");
+    let (run, exits) = run_fleet(&journaled, workers());
+    assert_eq!(
+        format!("{:?}", run.outcome),
+        format!("{:?}", plain.outcome),
+        "journaled outcome diverged from the plain run"
+    );
+    assert_bit_identical("journaled", &run.outcome);
+    let stats = &run.stats;
+    assert_eq!(
+        (
+            stats.retries,
+            stats.quarantined_workers,
+            stats.recovered_in_process
+        ),
+        (0, 0, 0),
+        "a healthy fleet completes every lease once (stats: {stats:?})"
+    );
+    let (_, load) = Journal::resume(&path, &stats.spec_hash, stats.cells).expect("journal replays");
+    assert!(!load.torn_tail, "a finished run leaves no torn tail");
+    assert_eq!(
+        load.records, stats.leases,
+        "want exactly one journal append per completed lease"
+    );
+    assert_eq!(load.cells.len() as u64, stats.cells);
     assert!(exits.iter().all(Result::is_ok), "exits: {exits:?}");
     std::fs::remove_file(&path).expect("journal cleans up");
 }

@@ -42,6 +42,23 @@ fn deeply_nested_specs_are_rejected_in_both_formats() {
 }
 
 #[test]
+fn spec_shape_errors_claim_no_byte_offset() {
+    // A well-formed document of the wrong shape has no position in the
+    // text to point at; it must not claim byte 0.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/tree_2oo3.toml");
+    let text = std::fs::read_to_string(path).expect("committed spec exists");
+    assert!(text.contains("\nseed = 4242\n"));
+    let shape = text.replace("\nseed = 4242\n", "\nseed = \"x\"\n");
+    let err = Scenario::from_spec_text(&shape).unwrap_err().to_string();
+    assert!(err.contains("expected number"), "{err}");
+    assert!(!err.contains("at byte"), "{err}");
+    // Syntax errors still say where parsing stopped.
+    let syntax = text.replace("\nseed = 4242\n", "\nseed = \n");
+    let err = Scenario::from_spec_text(&syntax).unwrap_err().to_string();
+    assert!(err.contains("at byte"), "{err}");
+}
+
+#[test]
 fn a_deeply_nested_journal_line_is_an_error_or_a_torn_tail() {
     let path =
         std::env::temp_dir().join(format!("divrel-deep-journal-{}.ndjson", std::process::id()));

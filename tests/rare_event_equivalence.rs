@@ -117,7 +117,7 @@ fn the_committed_rare_scenario_nails_its_closed_form() {
     // The ~2e-7 PFD spec committed in scenarios/: the tilted estimator
     // must sit within a few standard errors of the exact answer and
     // deliver the relative error its header promises (< 0.05, i.e.
-    // well past the 10%-target regime the bench rows measure).
+    // well past the 10%-target regime of the sample-count gate below).
     let scenario = committed_rare_scenario();
     let outcome = scenario.run(2).expect("committed spec runs");
     let r = outcome.as_rare_event().expect("rare-event outcome");
@@ -131,6 +131,59 @@ fn the_committed_rare_scenario_nails_its_closed_form() {
         r.relative_error < 0.05,
         "committed scenario lost its precision: rel err {}",
         r.relative_error
+    );
+}
+
+#[test]
+fn importance_tilt_needs_50x_fewer_samples_than_naive_for_10pct_error() {
+    // The rare-event engine's headline gate, in samples rather than
+    // seconds: how many demands each estimator needs for a 10 %
+    // relative error on the committed ~2e-7 PFD system (the model of
+    // scenarios/rare_event_protection.toml). The naive side is exact,
+    // `(σ / 0.1µ)²` from the closed-form per-demand variance; the tilted
+    // side is its measured relative error at the committed budget,
+    // scaled to the 10 % target. Both are pure functions of the inputs
+    // and seed 4242, so the verdict is deterministic: there is no
+    // false-alarm rate. Naive needs 2,290,966 samples and the tilt
+    // 2,717, a factor of 843 against the 50x threshold.
+    let base = FaultModel::from_params(
+        &[0.001, 0.002, 0.0005, 0.0015, 0.0008, 0.001, 0.0012, 0.0006],
+        &[0.005, 0.003, 0.008, 0.004, 0.006, 0.005, 0.002, 0.007],
+    )
+    .expect("valid parameters");
+    let shared = SharedCauseModel::new(base, 0.002).expect("valid beta");
+    let budget = 1usize << 17;
+    let exact = RareEventExperiment::from_shared(&shared, 3, 2, RareEstimator::Naive)
+        .expect("valid config");
+    let (mu, sigma) = (exact.true_pfd(), exact.exact_std_dev());
+    let naive_needed = (sigma / (0.1 * mu)).powi(2);
+    let run = |est| {
+        let out = RareEventExperiment::from_shared(&shared, 3, 2, est)
+            .expect("valid config")
+            .samples(budget)
+            .seed(4242)
+            .threads(2)
+            .run()
+            .expect("runs");
+        // Both variance-reduced estimators stay unbiased for the closed
+        // form on this system, not only on the moderate one above.
+        assert!(
+            (out.estimate - out.true_pfd).abs() < 6.0 * out.std_error,
+            "{est:?}: estimate {} vs closed form {} (se {})",
+            out.estimate,
+            out.true_pfd,
+            out.std_error
+        );
+        out
+    };
+    run(RareEstimator::StratifyByCount { rounds: 3 });
+    let tilt = run(RareEstimator::ImportanceTilt { theta: 4.0 });
+    let tilt_needed = (budget as f64 * (tilt.relative_error / 0.1).powi(2)).max(1.0);
+    let factor = naive_needed / tilt_needed;
+    assert!(
+        factor >= 50.0,
+        "tilt needs {tilt_needed:.0} samples for 10% relative error against naive \
+         {naive_needed:.0}: {factor:.1}x, below the 50x gate"
     );
 }
 
